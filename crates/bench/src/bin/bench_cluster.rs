@@ -1,17 +1,16 @@
 //! Tracked live-cluster throughput benchmark: measures frames/sec and
 //! bytes/sec of the `rumor-cluster` runtime for the paper peer and the
-//! anti-entropy baseline at several populations — thread-per-node up to
-//! N = 1024, the sharded worker-pool executor up to N = 10000 — and
-//! writes `BENCH_cluster.json`.
+//! anti-entropy baseline on the sharded worker-pool executor at
+//! populations from N = 64 to N = 10000, and writes `BENCH_cluster.json`.
 //!
 //! `cargo run --release -p rumor-bench --bin bench_cluster [-- out_dir]`
 //! `cargo run --release -p rumor-bench --bin bench_cluster -- --smoke [out_dir]`
 //!
-//! `--smoke` runs tiny windows (including one sharded N = 4096 row) —
-//! CI uses it (under a wall-clock bound) to keep both live-cluster
-//! executors working and the artefact schema stable.
+//! `--smoke` runs tiny windows (an N = 32 trio plus one N = 4096 row) —
+//! CI uses it (under a wall-clock bound) to keep the live-cluster
+//! executor working and the artefact schema stable.
 
-use rumor_bench::cluster_bench::{self, ClusterBenchRow, ExecMode};
+use rumor_bench::cluster_bench::{self, ClusterBenchRow};
 use std::path::PathBuf;
 
 fn main() {
@@ -24,14 +23,13 @@ fn main() {
 
     let rows: Vec<ClusterBenchRow> = if smoke {
         vec![
-            cluster_bench::measure_paper(32, 20, ExecMode::Threaded),
-            cluster_bench::measure_paper_wire_v2(32, 20, ExecMode::Threaded),
-            cluster_bench::measure_anti_entropy(32, 20, ExecMode::Threaded),
-            cluster_bench::measure_paper(32, 20, ExecMode::Sharded),
-            cluster_bench::measure_paper(4_096, 10, ExecMode::Sharded),
+            cluster_bench::measure_paper(32, 20),
+            cluster_bench::measure_paper_wire_v2(32, 20),
+            cluster_bench::measure_anti_entropy(32, 20),
+            cluster_bench::measure_paper(4_096, 10),
         ]
     } else {
-        cluster_bench::run_matrix(&[64, 256, 1_024], &[256, 1_024, 4_096, 10_000])
+        cluster_bench::run_matrix(&[64, 256, 1_024, 4_096, 10_000])
     };
 
     println!(

@@ -5,20 +5,19 @@
 //! its tracked benchmark — the same steady-state environment family as
 //! `engine_bench` (partial knowledge, churn, loss, a paper-peer
 //! configuration whose staleness pulls keep traffic flowing forever)
-//! executed live in both real-time execution modes: `threaded` (one OS
-//! thread per replica, practical to N ≈ 1–2k) and `sharded` (a fixed
-//! worker pool hosting the cells, the 10k+ scale path). Emitted as
+//! executed live on the sharded executor (a worker pool sized to the
+//! machine's available parallelism hosting all cells). Emitted as
 //! `BENCH_cluster.json` so the throughput trajectory is comparable
 //! across commits in both frames *and* bytes per second.
 
 use crate::json::Json;
 use rumor_baselines::AntiEntropy;
 use rumor_churn::MarkovChurn;
-use rumor_cluster::{ClusterBuilder, ClusterReport, ShardedCluster, ThreadedCluster};
+use rumor_cluster::ClusterBuilder;
 use rumor_core::{ProtocolConfig, PullStrategy};
 use rumor_net::Node;
 use rumor_sim::{PaperProtocol, Protocol, Scenario, TopologySpec, UpdateEvent};
-use rumor_types::{DataKey, UpdateId};
+use rumor_types::DataKey;
 use rumor_wire::{Decode, Encode, WireVersion};
 use std::time::Instant;
 
@@ -42,31 +41,12 @@ pub const BENCH_UPDATE_BURST: usize = 16;
 /// row (virtual-time replay of the same scenario seed).
 pub const CONVERGENCE_PROBE_CAP: u32 = 400;
 
-/// Which real-time executor a row was measured on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One OS thread per replica.
-    Threaded,
-    /// A fixed worker pool (available parallelism) hosting all cells.
-    Sharded,
-}
-
-impl ExecMode {
-    /// The label recorded in the row's `mode` field.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Threaded => "threaded",
-            Self::Sharded => "sharded",
-        }
-    }
-}
-
 /// One measured configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterBenchRow {
     /// Contender label (`"paper"` or `"anti-entropy"`).
     pub contender: String,
-    /// Executor label (`"threaded"` or `"sharded"`).
+    /// Executor label (always `"sharded"`; kept so schema v2 holds).
     pub mode: String,
     /// Population size (= replicas mounted).
     pub population: usize,
@@ -94,7 +74,7 @@ pub struct ClusterBenchRow {
     pub mean_message_bytes: f64,
     /// First round at which every online node was aware of the tracked
     /// update, from a deterministic virtual-time replay of the same
-    /// scenario seed and protocol (threaded/sharded interleavings are
+    /// scenario seed and protocol (worker-pool interleavings are
     /// nondeterministic, so convergence is probed out of band). `None`
     /// if the probe cap elapsed first.
     pub converged_round: Option<u32>,
@@ -158,84 +138,46 @@ fn bench_event(index: usize) -> UpdateEvent {
     }
 }
 
-/// The cluster surface the timed loop drives — both real-time modes
-/// expose it verbatim, so one measurement body serves both.
-trait LiveRun {
-    fn initiate_update(&mut self, event: &UpdateEvent) -> Option<UpdateId>;
-    fn run_rounds(&mut self, n: u32);
-    fn frames_sent(&self) -> u64;
-    fn bytes_sent(&self) -> u64;
-    fn messages_sent(&self) -> u64;
-    fn finish_report(self, update: UpdateId) -> ClusterReport;
-}
-
-impl<P> LiveRun for ThreadedCluster<P>
+/// Replays the row's scenario seed and protocol in the deterministic
+/// virtual-time executor to pin the convergence round — the live
+/// executors' interleavings are nondeterministic, so convergence is
+/// probed out of band where it is bit-reproducible.
+fn probe_converged_round<P>(scenario: &Scenario, protocol: P, wire: WireVersion) -> Option<u32>
 where
-    P: Protocol + Send + Sync + 'static,
-    P::Node: Send + 'static,
-    <P::Node as Node>::Msg: Encode + Decode + Send,
+    P: Protocol,
+    <P::Node as Node>::Msg: Encode + Decode,
 {
-    fn initiate_update(&mut self, event: &UpdateEvent) -> Option<UpdateId> {
-        self.initiate(event)
+    let mut probe = ClusterBuilder::new(scenario)
+        .wire(wire)
+        .virtual_time(protocol);
+    let update = probe.initiate(&bench_event(0))?;
+    for i in 1..BENCH_UPDATE_BURST {
+        probe.initiate(&bench_event(i))?;
     }
-    fn run_rounds(&mut self, n: u32) {
-        ThreadedCluster::run_rounds(self, n);
-    }
-    fn frames_sent(&self) -> u64 {
-        ThreadedCluster::frames_sent(self)
-    }
-    fn bytes_sent(&self) -> u64 {
-        ThreadedCluster::bytes_sent(self)
-    }
-    fn messages_sent(&self) -> u64 {
-        ThreadedCluster::messages_sent(self)
-    }
-    fn finish_report(self, update: UpdateId) -> ClusterReport {
-        self.finish(update)
-    }
+    probe.run_until_all_online_aware(update, CONVERGENCE_PROBE_CAP)
 }
 
-impl<P> LiveRun for ShardedCluster<P>
-where
-    P: Protocol + Send + Sync + 'static,
-    P::Node: Send + 'static,
-    <P::Node as Node>::Msg: Encode + Decode + Send,
-{
-    fn initiate_update(&mut self, event: &UpdateEvent) -> Option<UpdateId> {
-        self.initiate(event)
-    }
-    fn run_rounds(&mut self, n: u32) {
-        ShardedCluster::run_rounds(self, n);
-    }
-    fn frames_sent(&self) -> u64 {
-        ShardedCluster::frames_sent(self)
-    }
-    fn bytes_sent(&self) -> u64 {
-        ShardedCluster::bytes_sent(self)
-    }
-    fn messages_sent(&self) -> u64 {
-        ShardedCluster::messages_sent(self)
-    }
-    fn finish_report(self, update: UpdateId) -> ClusterReport {
-        self.finish(update)
-    }
-}
-
-fn measure_on<C: LiveRun>(
+fn measure<P>(
     label: &str,
-    mode: ExecMode,
-    mut cluster: C,
+    protocol: P,
     population: usize,
     rounds: u32,
     wire: WireVersion,
-    converged_round: Option<u32>,
-) -> ClusterBenchRow {
+) -> ClusterBenchRow
+where
+    P: Protocol + Clone + Send + Sync + 'static,
+    P::Node: Send + 'static,
+    <P::Node as Node>::Msg: Encode + Decode + Send,
+{
+    let scenario = bench_scenario(population, CLUSTER_BENCH_SEED);
+    let converged_round = probe_converged_round(&scenario, protocol.clone(), wire);
+    let mut cluster = ClusterBuilder::new(&scenario).wire(wire).sharded(protocol);
     let update = cluster
-        .initiate_update(&bench_event(0))
+        .initiate(&bench_event(0))
         .expect("bench initiator online");
     for i in 1..BENCH_UPDATE_BURST {
         cluster
-            .initiate_update(&bench_event(i))
+            .initiate(&bench_event(i))
             .expect("bench initiator online");
     }
     cluster.run_rounds(WARMUP_ROUNDS);
@@ -250,7 +192,7 @@ fn measure_on<C: LiveRun>(
     let frames = cluster.frames_sent() - frames_before;
     let bytes = cluster.bytes_sent() - bytes_before;
     let messages = cluster.messages_sent() - messages_before;
-    let report = cluster.finish_report(update);
+    let report = cluster.finish(update);
     assert_eq!(report.decode_errors, 0, "bench traffic must decode cleanly");
     assert_eq!(
         report.version_mismatches, 0,
@@ -258,7 +200,7 @@ fn measure_on<C: LiveRun>(
     );
     ClusterBenchRow {
         contender: label.to_owned(),
-        mode: mode.label().to_owned(),
+        mode: "sharded".to_owned(),
         population,
         rounds,
         elapsed_secs: elapsed,
@@ -285,68 +227,10 @@ fn measure_on<C: LiveRun>(
     }
 }
 
-/// Replays the row's scenario seed and protocol in the deterministic
-/// virtual-time executor to pin the convergence round — the live
-/// executors' interleavings are nondeterministic, so convergence is
-/// probed out of band where it is bit-reproducible.
-fn probe_converged_round<P>(scenario: &Scenario, protocol: P, wire: WireVersion) -> Option<u32>
-where
-    P: Protocol,
-    <P::Node as Node>::Msg: Encode + Decode,
-{
-    let mut probe = ClusterBuilder::new(scenario)
-        .wire(wire)
-        .virtual_time(protocol);
-    let update = probe.initiate(&bench_event(0))?;
-    for i in 1..BENCH_UPDATE_BURST {
-        probe.initiate(&bench_event(i))?;
-    }
-    probe.run_until_all_online_aware(update, CONVERGENCE_PROBE_CAP)
-}
-
-fn measure<P>(
-    label: &str,
-    mode: ExecMode,
-    protocol: P,
-    population: usize,
-    rounds: u32,
-    wire: WireVersion,
-) -> ClusterBenchRow
-where
-    P: Protocol + Clone + Send + Sync + 'static,
-    P::Node: Send + 'static,
-    <P::Node as Node>::Msg: Encode + Decode + Send,
-{
-    let scenario = bench_scenario(population, CLUSTER_BENCH_SEED);
-    let converged = probe_converged_round(&scenario, protocol.clone(), wire);
-    let builder = ClusterBuilder::new(&scenario).wire(wire);
-    match mode {
-        ExecMode::Threaded => measure_on(
-            label,
-            mode,
-            builder.threaded(protocol),
-            population,
-            rounds,
-            wire,
-            converged,
-        ),
-        ExecMode::Sharded => measure_on(
-            label,
-            mode,
-            builder.sharded(protocol),
-            population,
-            rounds,
-            wire,
-            converged,
-        ),
-    }
-}
-
-/// Measures the paper peer on the chosen executor (wire v1).
-pub fn measure_paper(population: usize, rounds: u32, mode: ExecMode) -> ClusterBenchRow {
+/// Measures the paper peer (wire v1).
+pub fn measure_paper(population: usize, rounds: u32) -> ClusterBenchRow {
     measure(
         "paper",
-        mode,
         PaperProtocol::new(bench_paper_config(population)),
         population,
         rounds,
@@ -356,10 +240,9 @@ pub fn measure_paper(population: usize, rounds: u32, mode: ExecMode) -> ClusterB
 
 /// Measures the paper peer under wire v2: per-peer batch frames plus
 /// digest-delta pulls. The bandwidth-diet contender.
-pub fn measure_paper_wire_v2(population: usize, rounds: u32, mode: ExecMode) -> ClusterBenchRow {
+pub fn measure_paper_wire_v2(population: usize, rounds: u32) -> ClusterBenchRow {
     measure(
         "paper",
-        mode,
         PaperProtocol::new(bench_paper_config_v2(population)),
         population,
         rounds,
@@ -367,12 +250,11 @@ pub fn measure_paper_wire_v2(population: usize, rounds: u32, mode: ExecMode) -> 
     )
 }
 
-/// Measures Demers push-pull anti-entropy on the chosen executor
-/// (per-round digest exchange: sustained small-frame traffic).
-pub fn measure_anti_entropy(population: usize, rounds: u32, mode: ExecMode) -> ClusterBenchRow {
+/// Measures Demers push-pull anti-entropy (per-round digest exchange:
+/// sustained small-frame traffic).
+pub fn measure_anti_entropy(population: usize, rounds: u32) -> ClusterBenchRow {
     measure(
         "anti-entropy",
-        mode,
         AntiEntropy { push_pull: true },
         population,
         rounds,
@@ -391,19 +273,14 @@ pub fn default_rounds_for(population: usize) -> u32 {
     }
 }
 
-/// Runs the full tracked matrix: both contenders at each population,
-/// thread-per-node at the `threaded` populations and the worker-pool
-/// executor at the `sharded` ones (which is how populations beyond a
-/// couple thousand are reachable at all).
-pub fn run_matrix(threaded: &[usize], sharded: &[usize]) -> Vec<ClusterBenchRow> {
+/// Runs the full tracked matrix: every contender at each population.
+pub fn run_matrix(populations: &[usize]) -> Vec<ClusterBenchRow> {
     let mut rows = Vec::new();
-    for (mode, populations) in [(ExecMode::Threaded, threaded), (ExecMode::Sharded, sharded)] {
-        for &n in populations {
-            let rounds = default_rounds_for(n);
-            rows.push(measure_paper(n, rounds, mode));
-            rows.push(measure_paper_wire_v2(n, rounds, mode));
-            rows.push(measure_anti_entropy(n, rounds, mode));
-        }
+    for &n in populations {
+        let rounds = default_rounds_for(n);
+        rows.push(measure_paper(n, rounds));
+        rows.push(measure_paper_wire_v2(n, rounds));
+        rows.push(measure_anti_entropy(n, rounds));
     }
     rows
 }
@@ -461,9 +338,9 @@ mod tests {
 
     #[test]
     fn smoke_measurement_produces_live_traffic() {
-        let row = measure_paper(24, 10, ExecMode::Threaded);
+        let row = measure_paper(24, 10);
         assert_eq!(row.contender, "paper");
-        assert_eq!(row.mode, "threaded");
+        assert_eq!(row.mode, "sharded");
         assert_eq!(row.population, 24);
         assert_eq!(row.wire_version, 1);
         assert_eq!(row.messages, row.frames, "wire v1: one message per frame");
@@ -477,14 +354,14 @@ mod tests {
             row.converged_round.is_some(),
             "24-node bench scenario converges well inside the probe cap"
         );
-        let ae = measure_anti_entropy(24, 10, ExecMode::Threaded);
+        let ae = measure_anti_entropy(24, 10);
         assert!(ae.frames > 0);
     }
 
     #[test]
     fn wire_v2_row_spends_fewer_bytes_per_message_at_the_same_convergence() {
-        let v1 = measure_paper(24, 10, ExecMode::Threaded);
-        let v2 = measure_paper_wire_v2(24, 10, ExecMode::Threaded);
+        let v1 = measure_paper(24, 10);
+        let v2 = measure_paper_wire_v2(24, 10);
         assert_eq!(v2.wire_version, 2);
         assert!(
             v2.messages >= v2.frames,
@@ -504,20 +381,6 @@ mod tests {
             v2_round <= v1_round,
             "wire v2 must not delay convergence: v2 {v2_round} vs v1 {v1_round}"
         );
-    }
-
-    #[test]
-    fn sharded_measurement_matches_the_threaded_traffic_profile() {
-        // The same scenario seed drives both executors, so a sharded
-        // measurement must carry live traffic of the same shape (same
-        // environment, different interleavings — counts are close but
-        // not equal).
-        let row = measure_paper(24, 10, ExecMode::Sharded);
-        assert_eq!(row.mode, "sharded");
-        assert!(row.frames > 0, "sharded run must send frames");
-        assert!(row.bytes > row.frames * 6);
-        let ae = measure_anti_entropy(24, 10, ExecMode::Sharded);
-        assert!(ae.frames > 0);
     }
 
     #[test]

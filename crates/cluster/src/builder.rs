@@ -4,7 +4,6 @@ use crate::byzantine::{byzantine_seed, select_byzantine, ByzantineState};
 use crate::cell::{DelaySpec, NodeCell};
 use crate::fault::{FaultError, FaultSpec};
 use crate::sharded::ShardedCluster;
-use crate::threaded::ThreadedCluster;
 use crate::virtual_time::VirtualCluster;
 use rumor_churn::OnlineSet;
 use rumor_net::Node;
@@ -15,8 +14,7 @@ use rumor_wire::{Decode, Encode, WireVersion};
 /// Builds a live cluster from the same declarative [`Scenario`] the
 /// simulation harness uses — identical topology draw, initial
 /// availability, churn model and loss/partition parameters — plus the
-/// cluster-only knobs: thread crash/restart faults and extra delivery
-/// delay.
+/// cluster-only knobs: crash/restart faults and extra delivery delay.
 ///
 /// # Examples
 ///
@@ -41,12 +39,12 @@ use rumor_wire::{Decode, Encode, WireVersion};
 /// ```
 #[derive(Debug)]
 pub struct ClusterBuilder<'a> {
-    scenario: &'a Scenario,
-    faults: FaultSpec,
+    pub(crate) scenario: &'a Scenario,
+    pub(crate) faults: FaultSpec,
     delay: DelaySpec,
     wire: WireVersion,
-    workers: Option<usize>,
-    trace: bool,
+    pub(crate) workers: Option<usize>,
+    pub(crate) trace: bool,
 }
 
 impl<'a> ClusterBuilder<'a> {
@@ -66,8 +64,7 @@ impl<'a> ClusterBuilder<'a> {
     /// Enables structured trace capture (`rumor-obs`): every cell
     /// buffers its message-level events locally and the conductor
     /// records its environment decisions, assembled into a
-    /// [`rumor_obs::TraceDoc`] by [`VirtualCluster::take_trace`],
-    /// [`ThreadedCluster::finish_traced`] or
+    /// [`rumor_obs::TraceDoc`] by [`VirtualCluster::take_trace`] or
     /// [`ShardedCluster::finish_traced`]. Capture consumes no
     /// randomness, so a traced run is bit-identical to an untraced one.
     pub fn traced(mut self) -> Self {
@@ -103,48 +100,26 @@ impl<'a> ClusterBuilder<'a> {
         self
     }
 
-    /// Mounts `protocol` into the deterministic single-threaded
-    /// virtual-time runtime (the golden-pinnable correctness path).
+    /// Mounts `protocol` into the deterministic virtual-time runtime:
+    /// every cell ticked inline on the caller's thread (the
+    /// golden-pinnable correctness path).
     pub fn virtual_time<P>(self, protocol: P) -> VirtualCluster<P>
     where
         P: Protocol,
         <P::Node as Node>::Msg: Encode + Decode,
     {
-        VirtualCluster::mount(
-            self.scenario,
-            protocol,
-            self.faults,
-            self.delay,
-            self.wire,
-            self.trace,
-        )
+        VirtualCluster::mount(&self, protocol)
     }
 
     /// Sets the worker-thread count for [`ClusterBuilder::sharded`]
     /// (clamped to at least 1 and at most the population at mount).
-    /// Defaults to the machine's available parallelism. Ignored by the
-    /// other two modes.
+    /// Defaults to the machine's available parallelism; `workers(n)`
+    /// with `n` ≥ the population is one OS thread per replica, and
+    /// `workers(1)` is bit-identical to [`ClusterBuilder::virtual_time`].
+    /// Ignored by `virtual_time`, which spawns no threads.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
-    }
-
-    /// Mounts `protocol` onto one OS thread per replica (the real-time
-    /// deployment-shaped path, practical to a couple thousand nodes).
-    pub fn threaded<P>(self, protocol: P) -> ThreadedCluster<P>
-    where
-        P: Protocol + Send + Sync + 'static,
-        P::Node: Send + 'static,
-        <P::Node as Node>::Msg: Encode + Decode + Send,
-    {
-        ThreadedCluster::mount(
-            self.scenario,
-            protocol,
-            self.faults,
-            self.delay,
-            self.wire,
-            self.trace,
-        )
     }
 
     /// Mounts `protocol` onto a fixed pool of worker threads, each
@@ -157,15 +132,7 @@ impl<'a> ClusterBuilder<'a> {
         P::Node: Send + 'static,
         <P::Node as Node>::Msg: Encode + Decode + Send,
     {
-        ShardedCluster::mount(
-            self.scenario,
-            protocol,
-            self.faults,
-            self.delay,
-            self.wire,
-            self.workers,
-            self.trace,
-        )
+        ShardedCluster::mount(&self, protocol)
     }
 }
 
@@ -177,17 +144,14 @@ impl<'a> ClusterBuilder<'a> {
 /// draws when empty) and mounted on the chosen cells; the returned flag
 /// vector records who is adversarial.
 pub(crate) fn build_cells<P: Protocol>(
-    scenario: &Scenario,
+    builder: &ClusterBuilder<'_>,
     protocol: &P,
     online: &OnlineSet,
-    faults: &FaultSpec,
-    delay: DelaySpec,
-    wire: WireVersion,
-    trace: bool,
 ) -> (Vec<NodeCell<P::Node>>, Vec<bool>)
 where
     <P::Node as Node>::Msg: Encode + Decode,
 {
+    let (scenario, faults) = (builder.scenario, &builder.faults);
     let mut node_seeds = SeedSequence::new(scenario.seed(), "cluster/node");
     let mut link_seeds = SeedSequence::new(scenario.seed(), "cluster/link");
     let flags = select_byzantine(scenario.seed(), scenario.population(), &faults.byzantine);
@@ -203,10 +167,10 @@ where
                 node,
                 node_seeds.next_seed(),
                 link_seeds.next_seed(),
-                delay,
+                builder.delay,
             );
-            cell.set_wire(wire);
-            if trace {
+            cell.set_wire(builder.wire);
+            if builder.trace {
                 cell.enable_trace(protocol.trace_msg_kind());
             }
             if flags[i] {

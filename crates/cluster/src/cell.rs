@@ -1,4 +1,4 @@
-//! Per-node runtime state shared by the virtual-time and threaded modes.
+//! Per-node runtime state: the cell every shard ticks.
 //!
 //! A [`NodeCell`] wraps one sans-IO [`Node`] with everything the live
 //! runtime owns per replica: its protocol and link RNG substreams, its

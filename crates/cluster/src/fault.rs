@@ -2,12 +2,13 @@
 //!
 //! Churn (the paper's availability model) and crashes are different
 //! faults: a churn-offline replica's runtime keeps running and merely
-//! refuses protocol work, while a *crashed* node's executor is gone — in
-//! the threaded runtime the OS thread actually exits and is respawned at
+//! refuses protocol work, while a *crashed* node's executor is gone —
+//! its cell is parked inside its shard and misses every tick until the
 //! restart, with node state surviving the gap (the paper's replicas keep
 //! their stores across sessions). The injector draws both decisions from
-//! one dedicated ChaCha8 substream, so a crash schedule replays
-//! identically in virtual-time and threaded modes.
+//! one dedicated ChaCha8 substream, stepped once per round by the one
+//! conductor, so a crash schedule replays identically on the
+//! virtual-time and sharded front-ends at any worker count.
 
 use crate::byzantine::ByzantineSpec;
 use rand::Rng;
@@ -119,7 +120,15 @@ pub(crate) struct FaultEvents {
     pub crash: Option<PeerId>,
 }
 
-/// Seeded crash scheduler shared by both runtime modes.
+impl FaultEvents {
+    /// The events as cell park-flag changes, in application order.
+    pub fn parkings(self) -> impl Iterator<Item = (PeerId, bool)> {
+        let restarts = self.restarts.into_iter().map(|peer| (peer, false));
+        restarts.chain(self.crash.map(|peer| (peer, true)))
+    }
+}
+
+/// Seeded crash scheduler owned by the conductor.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultInjector {
     spec: FaultSpec,

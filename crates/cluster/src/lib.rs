@@ -10,40 +10,40 @@
 //! message between nodes round-trips through the `rumor-wire` codec,
 //! so a run reports frames *and* bytes on the wire.
 //!
-//! Three modes over one set of runtime semantics:
+//! One conductor, two front-ends. The conductor owns the seeded
+//! environment — churn, initiator choice, crash/restart faults, the
+//! convergence probe, the report fold — and drives *shards*: contiguous
+//! runs of replica cells ticked as a unit. The front-ends differ only
+//! in where the shards run:
 //!
-//! * [`VirtualCluster`] — single-threaded virtual time. Deterministic
-//!   per scenario seed, bit-reproducible, golden-pinnable in `cargo
-//!   test`. The correctness path.
-//! * [`ThreadedCluster`] — one OS thread per replica, joined by
-//!   in-process channels carrying encoded frames; a conductor paces
-//!   rounds and barriers on per-tick reports. The deployment-shaped
-//!   real-time path (practical to N ≈ 1–2k).
-//! * [`ShardedCluster`] — M worker threads (default: available
-//!   parallelism, [`ClusterBuilder::workers`] to override) each owning
-//!   a contiguous shard of replicas, with cross-shard frames batched
-//!   per round and the conductor barrier at shard granularity. The
-//!   scale path: 10k+ live replicas, and the fastest mode in
-//!   `bench_cluster` at every population.
+//! * [`VirtualCluster`] — one shard, ticked inline on the caller's
+//!   thread. Deterministic per scenario seed, bit-reproducible,
+//!   golden-pinnable in `cargo test`. The correctness path.
+//! * [`ShardedCluster`] — M shards on M worker threads (default:
+//!   available parallelism, [`ClusterBuilder::workers`] to override),
+//!   with cross-shard frames batched per round and the conductor
+//!   barrier at shard granularity. The scale path: 10k+ live replicas.
+//!   `.workers(population)` is one OS thread per replica — the
+//!   deployment shape, slower than a core-sized pool at every measured
+//!   population — and `.workers(1)` is bit-identical to virtual time.
 //!
 //! Both take the environment from the same declarative
 //! [`rumor_sim::Scenario`] the simulation harness uses — identical
 //! topology draw, initial availability, churn trajectory and
 //! loss/partition semantics (`LinkFilter`) — plus cluster-only faults:
-//! a seeded [`FaultSpec`] crash/restart injector (in threaded mode the
-//! victim's OS thread really exits and is respawned; in sharded mode
-//! the cell is parked inside its shard; node state and mailbox survive
-//! either way, and frames that arrived during the gap are dropped
-//! exactly like sends to an offline replica) and an optional
-//! [`DelaySpec`] extra delivery delay. Quiescence detection and
-//! graceful shutdown are built in: [`ThreadedCluster::finish`] stops
-//! every thread, reclaims node state and folds a [`ClusterReport`].
+//! a seeded [`FaultSpec`] crash/restart injector (a crash *parks* the
+//! victim cell inside its shard: it misses its ticks, node state and
+//! inbox survive, and frames that came due during the gap are dropped
+//! at the restart exactly like sends to an offline replica) and an
+//! optional [`DelaySpec`] extra delivery delay. Quiescence detection
+//! and graceful shutdown are built in: [`ShardedCluster::finish`] stops
+//! every worker, reclaims node state and folds a [`ClusterReport`].
 //!
 //! A fault plan can additionally mount a seeded fraction of the
 //! population as *Byzantine* members ([`ByzantineSpec`]): replicas that
 //! keep running the real protocol but lie at the wire boundary — empty
 //! pull digests, stale-frame replays, corrupt frames (see
-//! [`ByzantineBehaviour`]). Both runtime modes host them; `rumor-fuzz`
+//! [`ByzantineBehaviour`]). Both front-ends host them; `rumor-fuzz`
 //! sweeps them against the convergence oracle.
 //!
 //! [`ClusterBuilder::traced`] additionally mounts structured
@@ -53,7 +53,8 @@
 //! the buffers merge into one canonical `(round, node, seq)`-ordered
 //! [`rumor_obs::TraceDoc`]. Capture consumes no randomness, so a traced
 //! run stays bit-identical to an untraced one, and the conductor-side
-//! environment sub-trace is byte-identical across all three modes.
+//! environment sub-trace is byte-identical across both front-ends and
+//! every worker count.
 //!
 //! # Examples
 //!
@@ -92,10 +93,11 @@
 mod builder;
 mod byzantine;
 mod cell;
+mod conductor;
 mod fault;
 mod report;
+mod shard;
 mod sharded;
-mod threaded;
 mod trace;
 mod virtual_time;
 
@@ -105,7 +107,6 @@ pub use cell::DelaySpec;
 pub use fault::{FaultError, FaultSpec};
 pub use report::ClusterReport;
 pub use sharded::ShardedCluster;
-pub use threaded::ThreadedCluster;
 pub use virtual_time::VirtualCluster;
 
 // Re-exported so downstream crates can select a codec for

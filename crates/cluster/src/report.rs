@@ -11,7 +11,7 @@ use rumor_types::PeerId;
 /// update — crashed and churn-offline replicas included — so two runs of
 /// the same scenario can be compared set-for-set (the cluster/engine
 /// parity suite does exactly that).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterReport {
     /// Rounds (ticks) executed.
     pub rounds: u32,
@@ -58,62 +58,28 @@ pub struct ClusterReport {
     pub byzantine: usize,
 }
 
-/// Run-level context a report is folded from (both runtime modes fold
-/// through here so the stats arithmetic can never diverge between
-/// them).
-#[derive(Debug, Clone)]
-pub(crate) struct RunOutcome {
-    pub rounds: u32,
-    pub crashes: u64,
-    pub restarts: u64,
-    pub online: usize,
-    pub aware_online: usize,
-    pub converged_round: Option<u32>,
-    pub aware_set: Vec<PeerId>,
-    pub byzantine: usize,
-}
-
 impl ClusterReport {
-    /// Folds per-cell traffic stats plus the run outcome into a report.
-    pub(crate) fn fold<'a>(
-        outcome: RunOutcome,
-        stats: impl IntoIterator<Item = &'a CellStats>,
-    ) -> Self {
-        let mut report = Self {
-            rounds: outcome.rounds,
-            frames_sent: 0,
-            bytes_sent: 0,
-            messages_sent: 0,
-            frames_delivered: 0,
-            bytes_delivered: 0,
-            messages_delivered: 0,
-            lost_offline: 0,
-            lost_fault: 0,
-            decode_errors: 0,
-            version_mismatches: 0,
-            frames_tampered: 0,
-            crashes: outcome.crashes,
-            restarts: outcome.restarts,
-            online: outcome.online,
-            aware_online: outcome.aware_online,
-            converged_round: outcome.converged_round,
-            aware_set: outcome.aware_set,
-            byzantine: outcome.byzantine,
-        };
+    /// Sums per-cell traffic stats into a report; the conductor fills in
+    /// the run outcome (rounds, faults, awareness).
+    pub(crate) fn fold<'a>(stats: impl IntoIterator<Item = &'a CellStats>) -> Self {
+        let mut total = CellStats::default();
         for cell in stats {
-            report.frames_sent += cell.sent;
-            report.bytes_sent += cell.bytes_sent;
-            report.messages_sent += cell.messages_sent;
-            report.frames_delivered += cell.delivered;
-            report.bytes_delivered += cell.bytes_delivered;
-            report.messages_delivered += cell.messages_delivered;
-            report.lost_offline += cell.lost_offline;
-            report.lost_fault += cell.lost_fault;
-            report.decode_errors += cell.decode_errors;
-            report.version_mismatches += cell.version_mismatches;
-            report.frames_tampered += cell.tampered;
+            total.absorb(cell);
         }
-        report
+        Self {
+            frames_sent: total.sent,
+            bytes_sent: total.bytes_sent,
+            messages_sent: total.messages_sent,
+            frames_delivered: total.delivered,
+            bytes_delivered: total.bytes_delivered,
+            messages_delivered: total.messages_delivered,
+            lost_offline: total.lost_offline,
+            lost_fault: total.lost_fault,
+            decode_errors: total.decode_errors,
+            version_mismatches: total.version_mismatches,
+            frames_tampered: total.tampered,
+            ..Self::default()
+        }
     }
 
     /// Aware fraction of the final online population.

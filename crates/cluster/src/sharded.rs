@@ -1,46 +1,34 @@
-//! The sharded real-time mode: M worker threads for N replica cells.
+//! The real-time front-end: the conductor driving M shards on worker
+//! threads.
 //!
-//! One OS thread per replica ([`crate::ThreadedCluster`]) stops scaling
-//! near N ≈ 1–2k: the conductor pays one channel round-trip and one
-//! scheduler wakeup per replica per round, so frames/sec *falls* as the
-//! population grows. This mode multiplexes the same [`NodeCell`]s over
-//! a fixed worker pool instead: each worker owns one contiguous *shard*
-//! of cells and pumps them through the unchanged tick loop, frames
-//! cross shards as batched envelope vectors (one channel send per
-//! sender-shard × receiver-shard pair per round, not one per frame),
-//! and the conductor barriers on M shard reports instead of N node
-//! reports. Populations of 10k+ live replicas fit comfortably on one
-//! machine.
+//! Each worker owns one contiguous [`Shard`] of cells and pumps it
+//! through the same tick loop [`crate::VirtualCluster`] runs inline;
+//! frames cross shards as batched envelope vectors (one channel send per
+//! sender-shard × receiver-shard pair per round, not one per frame), and
+//! the conductor barriers on M shard reports. Populations of 10k+ live
+//! replicas fit comfortably on one machine.
+//! [`ClusterBuilder::workers`](crate::ClusterBuilder::workers) picks the
+//! placement: available parallelism by default, `workers(population)`
+//! for one OS thread per replica (the deployment shape, slower than a
+//! core-sized pool in every `BENCH_cluster.json` row that measured it).
 //!
-//! Runtime semantics are identical to the threaded mode — same
-//! [`rumor_sim::Scenario`] substreams (churn, control, faults,
-//! Byzantine selection), same round-`t`-sent / tick-`t+1`-delivered
-//! timing contract, same crash/restart and Byzantine behaviours — with
-//! one structural difference: a *crash* parks the victim cell inside
-//! its shard (the worker skips its ticks while frames accumulate in its
-//! inbox) rather than terminating an OS thread. Restart un-parks it;
-//! frames that became deliverable during the gap are dropped as
-//! lost-to-offline on the first tick back, exactly like the other two
-//! modes.
-//!
-//! Delivery ordering within a round depends on worker interleaving, so
-//! like the threaded mode this path is distributionally — not
-//! bit-for-bit — identical to the virtual-time mode; outcome-level
-//! parity against the threaded mode is pinned by
-//! `tests/cluster_sharded.rs`.
+//! Runtime semantics are the conductor's and the shard's, hence those of
+//! virtual time: same [`rumor_sim::Scenario`] substreams, same
+//! round-`t`-sent / tick-`t+1`-delivered timing contract, same
+//! crash-parks-the-cell and Byzantine behaviours. With one worker the run
+//! *is* virtual time bit for bit; with more, delivery order within a
+//! round depends on worker interleaving, so it is distributionally
+//! identical. `tests/cluster_sharded.rs` pins both.
 
-use crate::cell::{CellStats, DelaySpec, Envelope, NodeCell};
-use crate::fault::{FaultInjector, FaultSpec};
+use crate::builder::ClusterBuilder;
+use crate::cell::{Envelope, NodeCell};
+use crate::conductor::Conductor;
 use crate::report::ClusterReport;
-use crate::trace::ConductorTrace;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use rumor_churn::{Churn, OnlineSet};
+use crate::shard::{Shard, ShardReport};
 use rumor_net::{LinkFilter, Node};
 use rumor_obs::TraceDoc;
-use rumor_sim::{Protocol, Scenario, UpdateEvent};
-use rumor_types::{derive_seed, PeerId, Round, UpdateId};
+use rumor_sim::{Protocol, UpdateEvent};
+use rumor_types::{PeerId, UpdateId};
 use rumor_wire::{Decode, Encode};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc};
@@ -49,68 +37,36 @@ use std::thread::JoinHandle;
 /// Envelopes bound for one shard's cells, flushed once per tick.
 type Batch = Vec<(PeerId, Envelope)>;
 
-/// Worker-thread count when [`crate::ClusterBuilder::workers`] is not
-/// called: the machine's available parallelism (falling back to 4 when
-/// the runtime cannot report it).
-pub(crate) fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(4, usize::from)
-}
-
 /// Contiguous balanced partition of `population` cells over `shards`
-/// worker threads: the first `population % shards` shards own one extra
-/// cell, so shard sizes differ by at most one.
+/// worker threads: shard `s` owns cells `s·N/M .. (s+1)·N/M` (integer
+/// division), so shard sizes differ by at most one.
 #[derive(Debug, Clone, Copy)]
 struct ShardMap {
     population: usize,
     shards: usize,
-    /// Cells per shard before remainder distribution.
-    base: usize,
-    /// Shards owning `base + 1` cells.
-    rem: usize,
 }
 
 impl ShardMap {
     fn new(population: usize, workers: usize) -> Self {
-        let shards = workers.clamp(1, population.max(1));
         Self {
             population,
-            shards,
-            base: population / shards,
-            rem: population % shards,
+            shards: workers.clamp(1, population.max(1)),
         }
-    }
-
-    fn shards(&self) -> usize {
-        self.shards
-    }
-
-    fn population(&self) -> usize {
-        self.population
     }
 
     /// The shard owning global cell index `index`.
     fn shard_of(&self, index: usize) -> usize {
-        let wide = (self.base + 1) * self.rem;
-        if index < wide {
-            index / (self.base + 1)
-        } else {
-            self.rem + (index - wide) / self.base.max(1)
-        }
+        ((index + 1) * self.shards - 1) / self.population
     }
 
     /// The global index range `shard` owns.
     fn range(&self, shard: usize) -> std::ops::Range<usize> {
-        if shard < self.rem {
-            let start = shard * (self.base + 1);
-            start..start + self.base + 1
-        } else {
-            let start = (self.base + 1) * self.rem + (shard - self.rem) * self.base;
-            start..start + self.base
-        }
+        shard * self.population / self.shards..(shard + 1) * self.population / self.shards
     }
 }
 
-/// Conductor → shard control messages.
+/// Conductor → shard control messages. Closing the channel stops the
+/// worker, which hands its cells back through its join handle.
 enum ShardCtrl {
     Tick {
         round: u32,
@@ -123,175 +79,92 @@ enum ShardCtrl {
         event: UpdateEvent,
         round: u32,
     },
-    /// Park `peer`'s cell: it misses ticks, its inbox accumulates.
-    Crash { peer: PeerId },
-    /// Un-park `peer`'s cell.
-    Restart { peer: PeerId },
-    /// Stop and hand the shard's cells back.
-    Stop,
+    /// Park (crash) or un-park (restart) `peer`'s cell.
+    Park { peer: PeerId, parked: bool },
 }
 
-/// Awareness outcome of a probed tick, aggregated at shard granularity.
-#[derive(Debug, Clone, Copy)]
-struct ProbeOutcome {
-    /// Whether any of the shard's cells was effectively online.
-    any_online: bool,
-    /// Whether every effectively-online cell was aware (vacuously true
-    /// for a shard with nobody online).
-    all_online_aware: bool,
-}
-
-/// Per-tick shard report: cumulative traffic stats summed over the
-/// shard's cells (parked cells included — their counters never leave
-/// the shard), plus queue depths and the optional awareness probe.
-#[derive(Debug, Clone, Copy, Default)]
-struct ShardReport {
-    stats: CellStats,
-    pending_frames: usize,
-    pending_timers: usize,
-    probe: Option<ProbeOutcome>,
-}
-
-/// Shard → conductor replies, tagged with the shard index.
-enum ShardReply<N: Node> {
-    Done(ShardReport),
-    Initiated {
-        update: UpdateId,
-        report: ShardReport,
-    },
-    Stopped {
-        cells: Vec<NodeCell<N>>,
-    },
-}
-
-/// Sums stats and queue depths over `cells`, evaluating the awareness
-/// probe against the effectively-online subset (`online && !down`).
-fn shard_report<P>(
-    protocol: &P,
-    cells: &[NodeCell<P::Node>],
-    down: &[bool],
-    online: &[bool],
-    probe: Option<UpdateId>,
-) -> ShardReport
-where
-    P: Protocol,
-    <P::Node as Node>::Msg: Encode + Decode,
-{
-    let mut report = ShardReport::default();
-    for cell in cells {
-        report.stats.absorb(&cell.stats);
-        report.pending_frames += cell.pending_frames();
-        report.pending_timers += cell.pending_timers();
-    }
-    report.probe = probe.map(|update| {
-        let mut outcome = ProbeOutcome {
-            any_online: false,
-            all_online_aware: true,
-        };
-        for (i, cell) in cells.iter().enumerate() {
-            if online[i] && !down[i] {
-                outcome.any_online = true;
-                if !protocol.is_aware(&cell.node, update) {
-                    outcome.all_online_aware = false;
-                }
-            }
-        }
-        outcome
-    });
-    report
-}
-
-#[allow(clippy::too_many_arguments)] // spawn plumbing, called once per shard
-fn shard_loop<P>(
+/// Shard → conductor reply to a `Tick` or an `Initiate`.
+struct ShardReply {
     shard: usize,
-    start: usize,
+    report: ShardReport,
+    /// The update an `Initiate` created.
+    initiated: Option<UpdateId>,
+}
+
+/// What one worker thread owns.
+struct Worker<P: Protocol> {
+    index: usize,
     map: ShardMap,
-    mut cells: Vec<NodeCell<P::Node>>,
+    shard: Shard<P::Node>,
     protocol: Arc<P>,
     filter: Arc<dyn LinkFilter + Send + Sync>,
     ctrl: Receiver<ShardCtrl>,
     inbound: Receiver<Batch>,
     peers: Vec<Sender<Batch>>,
-    replies: Sender<(usize, ShardReply<P::Node>)>,
-) where
-    P: Protocol,
-    P::Node: Send,
-    <P::Node as Node>::Msg: Encode + Decode + Send,
+    replies: Sender<ShardReply>,
+}
+
+impl<P: Protocol> Worker<P>
+where
+    <P::Node as Node>::Msg: Encode + Decode,
 {
-    let mut down = vec![false; cells.len()];
-    let mut outboxes: Vec<Batch> = (0..map.shards()).map(|_| Batch::new()).collect();
-    // Flushes every non-empty outbox as one batch to its shard. Sends
-    // cannot fail while the conductor lives: it owns a receiver clone
-    // of every shard's batch channel source — the senders here — and
-    // the matching receivers sit in live worker loops.
-    let flush = |outboxes: &mut Vec<Batch>, peers: &[Sender<Batch>]| {
-        for (target, outbox) in outboxes.iter_mut().enumerate() {
-            if !outbox.is_empty() {
-                let _ = peers[target].send(std::mem::take(outbox));
-            }
-        }
-    };
-    loop {
-        let Ok(msg) = ctrl.recv() else {
-            return; // conductor gone
-        };
-        match msg {
-            ShardCtrl::Tick {
-                round,
-                online,
-                probe,
-            } => {
-                // The conductor barriered the previous round, so every
-                // batch of frames sent before this tick is already in
-                // the inbound channel; frames from the current round
-                // carry a later `deliver_from` and wait in the inbox.
-                while let Ok(batch) = inbound.try_recv() {
-                    for (to, env) in batch {
-                        cells[to.index() - start].inbox.push_back(env);
-                    }
-                }
-                for (i, cell) in cells.iter_mut().enumerate() {
-                    if down[i] {
-                        continue; // parked: no tick, inbox accumulates
-                    }
-                    cell.tick(round, online[i], &*filter, &mut |to, env| {
-                        outboxes[map.shard_of(to.index())].push((to, env));
-                    });
-                }
-                flush(&mut outboxes, &peers);
-                let report = shard_report(&*protocol, &cells, &down, &online, probe);
-                if replies.send((shard, ShardReply::Done(report))).is_err() {
-                    return;
-                }
-            }
-            ShardCtrl::Initiate { peer, event, round } => {
-                let local = peer.index() - start;
-                let update = cells[local].initiate(
+    /// Pumps the shard until the conductor closes the control channel
+    /// (or is gone), then returns the cells.
+    fn run(mut self) -> Vec<NodeCell<P::Node>> {
+        let (map, start) = (self.map, self.map.range(self.index).start);
+        let mut outboxes: Vec<Batch> = (0..map.shards).map(|_| Batch::new()).collect();
+        while let Ok(msg) = self.ctrl.recv() {
+            let mut dispatch = |to: PeerId, env| outboxes[map.shard_of(to.index())].push((to, env));
+            let (report, initiated) = match msg {
+                ShardCtrl::Tick {
                     round,
-                    |node, rng, sink| protocol.initiate(node, &event, Round::new(round), rng, sink),
-                    &mut |to, env| {
-                        outboxes[map.shard_of(to.index())].push((to, env));
-                    },
-                );
-                flush(&mut outboxes, &peers);
-                // The report keeps the conductor's traffic snapshot
-                // fresh: frames sent while initiating are visible to
-                // `frames_sent()` before the next barrier.
-                let report = shard_report(&*protocol, &cells, &down, &[], None);
-                if replies
-                    .send((shard, ShardReply::Initiated { update, report }))
-                    .is_err()
-                {
-                    return;
+                    online,
+                    probe,
+                } => {
+                    // The conductor barriered the previous round, so
+                    // every batch of frames sent before this tick is
+                    // already in the inbound channel; frames from the
+                    // current round carry a later `deliver_from` and
+                    // wait in the inbox.
+                    while let Ok(batch) = self.inbound.try_recv() {
+                        self.shard.accept(batch);
+                    }
+                    let online = |peer: PeerId| online[peer.index() - start];
+                    self.shard
+                        .tick(round, &online, &*self.filter, &mut dispatch);
+                    let outcome =
+                        probe.map(|update| self.shard.probe(&*self.protocol, &online, update));
+                    (self.shard.report(outcome), None)
+                }
+                ShardCtrl::Initiate { peer, event, round } => {
+                    let update =
+                        self.shard
+                            .initiate(&*self.protocol, peer, &event, round, &mut dispatch);
+                    // The report keeps the conductor's traffic snapshot
+                    // fresh: frames sent while initiating are visible
+                    // to `frames_sent()` before the next barrier.
+                    (self.shard.report(None), Some(update))
+                }
+                ShardCtrl::Park { peer, parked } => {
+                    self.shard.set_parked(peer, parked);
+                    continue;
+                }
+            };
+            // One batch per non-empty outbox. Sends cannot fail while
+            // the conductor lives: the receivers sit in live workers.
+            for (target, outbox) in outboxes.iter_mut().enumerate() {
+                if !outbox.is_empty() {
+                    let _ = self.peers[target].send(std::mem::take(outbox));
                 }
             }
-            ShardCtrl::Crash { peer } => down[peer.index() - start] = true,
-            ShardCtrl::Restart { peer } => down[peer.index() - start] = false,
-            ShardCtrl::Stop => {
-                let _ = replies.send((shard, ShardReply::Stopped { cells }));
-                return;
-            }
+            let shard = self.index;
+            let _ = self.replies.send(ShardReply {
+                shard,
+                report,
+                initiated,
+            });
         }
+        self.shard.cells.into_vec()
     }
 }
 
@@ -310,25 +183,13 @@ where
     <P::Node as Node>::Msg: Encode + Decode + Send,
 {
     protocol: Arc<P>,
+    conductor: Conductor,
     map: ShardMap,
     ctrls: Vec<Sender<ShardCtrl>>,
-    handles: Vec<Option<JoinHandle<()>>>,
-    reply_rx: Receiver<(usize, ShardReply<P::Node>)>,
-    online: OnlineSet,
-    churn: Box<dyn Churn>,
-    churn_rng: ChaCha8Rng,
-    ctrl_rng: ChaCha8Rng,
-    faults: FaultInjector,
-    byzantine: Vec<bool>,
+    handles: Vec<JoinHandle<Vec<NodeCell<P::Node>>>>,
+    reply_rx: Receiver<ShardReply>,
     /// Latest per-shard report (stats are cumulative).
     snapshots: Vec<ShardReport>,
-    rounds_run: u32,
-    converged_round: Option<u32>,
-    /// The update the convergence probe state belongs to; probing a
-    /// different update resets `converged_round`.
-    probed_update: Option<UpdateId>,
-    seed: u64,
-    trace: Option<ConductorTrace>,
 }
 
 impl<P> std::fmt::Debug for ShardedCluster<P>
@@ -339,9 +200,9 @@ where
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCluster")
-            .field("population", &self.map.population())
-            .field("workers", &self.map.shards())
-            .field("rounds_run", &self.rounds_run)
+            .field("population", &self.population())
+            .field("workers", &self.workers())
+            .field("rounds_run", &self.rounds_run())
             .finish_non_exhaustive()
     }
 }
@@ -352,100 +213,68 @@ where
     P::Node: Send + 'static,
     <P::Node as Node>::Msg: Encode + Decode + Send,
 {
-    pub(crate) fn mount(
-        scenario: &Scenario,
-        protocol: P,
-        faults: FaultSpec,
-        delay: DelaySpec,
-        wire: rumor_wire::WireVersion,
-        workers: Option<usize>,
-        trace: bool,
-    ) -> Self {
-        let online = scenario.initial_online_set();
-        let (cells, byzantine) =
-            crate::builder::build_cells(scenario, &protocol, &online, &faults, delay, wire, trace);
-        let population = cells.len();
-        let trace = trace.then(|| ConductorTrace::new(&online, population));
-        let map = ShardMap::new(population, workers.unwrap_or_else(default_workers));
+    pub(crate) fn mount(builder: &ClusterBuilder<'_>, protocol: P) -> Self {
+        let (conductor, cells) = Conductor::mount(builder, &protocol);
+        // Default pool: the machine's available parallelism (4 when the
+        // runtime cannot report it).
+        let workers = builder
+            .workers
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, usize::from));
+        let map = ShardMap::new(cells.len(), workers);
         let protocol = Arc::new(protocol);
-        let filter: Arc<dyn LinkFilter + Send + Sync> = Arc::from(scenario.link_filter());
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut batch_txs = Vec::with_capacity(map.shards());
-        let mut batch_rxs = Vec::with_capacity(map.shards());
-        for _ in 0..map.shards() {
-            let (tx, rx) = mpsc::channel::<Batch>();
-            batch_txs.push(tx);
-            batch_rxs.push(rx);
-        }
-        let mut ctrls = Vec::with_capacity(map.shards());
-        let mut handles = Vec::with_capacity(map.shards());
+        let filter: Arc<dyn LinkFilter + Send + Sync> = Arc::from(builder.scenario.link_filter());
+        let (replies, reply_rx) = mpsc::channel();
+        let (peers, inbounds): (Vec<_>, Vec<_>) =
+            (0..map.shards).map(|_| mpsc::channel::<Batch>()).unzip();
         let mut cells = cells.into_iter();
-        for (shard, inbound) in batch_rxs.into_iter().enumerate() {
-            let range = map.range(shard);
-            let shard_cells: Vec<NodeCell<P::Node>> = cells.by_ref().take(range.len()).collect();
-            let (ctrl_tx, ctrl_rx) = mpsc::channel();
-            let protocol = Arc::clone(&protocol);
-            let filter = Arc::clone(&filter);
-            let peers = batch_txs.clone();
-            let replies = reply_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("rumor-shard-{shard}"))
-                .spawn(move || {
-                    shard_loop::<P>(
-                        shard,
-                        range.start,
-                        map,
-                        shard_cells,
-                        protocol,
-                        filter,
-                        ctrl_rx,
-                        inbound,
-                        peers,
-                        replies,
-                    )
-                })
-                .expect("spawn cluster shard thread");
-            ctrls.push(ctrl_tx);
-            handles.push(Some(handle));
-        }
+        let (ctrls, handles) = inbounds
+            .into_iter()
+            .enumerate()
+            .map(|(index, inbound)| {
+                let range = map.range(index);
+                let (ctrl_tx, ctrl) = mpsc::channel();
+                let worker = Worker {
+                    index,
+                    map,
+                    shard: Shard::new(range.start, cells.by_ref().take(range.len()).collect()),
+                    protocol: Arc::clone(&protocol),
+                    filter: Arc::clone(&filter),
+                    ctrl,
+                    inbound,
+                    peers: peers.clone(),
+                    replies: replies.clone(),
+                };
+                let handle = std::thread::Builder::new()
+                    .name(format!("rumor-shard-{index}"))
+                    .spawn(move || worker.run())
+                    .expect("spawn cluster shard thread");
+                (ctrl_tx, handle)
+            })
+            .unzip();
         Self {
             protocol,
+            conductor,
             map,
             ctrls,
             handles,
             reply_rx,
-            online,
-            churn: scenario.make_churn(),
-            churn_rng: ChaCha8Rng::seed_from_u64(derive_seed(scenario.seed(), "churn")),
-            ctrl_rng: ChaCha8Rng::seed_from_u64(derive_seed(scenario.seed(), "cluster/control")),
-            faults: FaultInjector::new(
-                faults,
-                derive_seed(scenario.seed(), "cluster/fault"),
-                population,
-            ),
-            byzantine,
-            snapshots: vec![ShardReport::default(); map.shards()],
-            rounds_run: 0,
-            converged_round: None,
-            probed_update: None,
-            seed: scenario.seed(),
-            trace,
+            snapshots: vec![ShardReport::default(); map.shards],
         }
     }
 
     /// Population size (= cells multiplexed over the worker pool).
     pub fn population(&self) -> usize {
-        self.map.population()
+        self.conductor.population()
     }
 
     /// Worker threads in the pool.
     pub fn workers(&self) -> usize {
-        self.map.shards()
+        self.map.shards
     }
 
     /// Rounds executed so far.
     pub fn rounds_run(&self) -> u32 {
-        self.rounds_run
+        self.conductor.rounds_run()
     }
 
     /// Nodes churn-online and not crashed.
@@ -455,19 +284,12 @@ where
 
     /// Peers that are churn-online and not crashed right now, ascending.
     pub fn online_peers(&self) -> Vec<PeerId> {
-        (0..self.map.population() as u32)
-            .map(PeerId::new)
-            .filter(|&p| self.effective_online(p))
-            .collect()
-    }
-
-    fn effective_online(&self, peer: PeerId) -> bool {
-        self.online.is_online(peer) && !self.faults.is_down(peer)
+        self.conductor.online_peers()
     }
 
     /// Whether `peer` was mounted as a Byzantine member.
     pub fn is_byzantine(&self, peer: PeerId) -> bool {
-        self.byzantine.get(peer.index()).copied().unwrap_or(false)
+        self.conductor.is_byzantine(peer)
     }
 
     /// Frames handed to the transport so far (per the last barrier or
@@ -490,145 +312,85 @@ where
     /// True when, as of the last barrier, every frame was consumed, no
     /// timer is armed, and no node is crashed.
     pub fn is_quiescent(&self) -> bool {
-        if self.faults.any_down() {
-            return false;
-        }
-        let sent: u64 = self.snapshots.iter().map(|s| s.stats.sent).sum();
         let consumed: u64 = self.snapshots.iter().map(|s| s.stats.consumed()).sum();
-        sent == consumed
-            && self
-                .snapshots
-                .iter()
-                .all(|s| s.pending_frames == 0 && s.pending_timers == 0)
+        !self.conductor.any_down()
+            && self.frames_sent() == consumed
+            && self.snapshots.iter().all(|s| s.pending == 0)
     }
 
-    /// Waits for one reply from `from`, asserting its variant via
-    /// `pick`. No reply from any other shard can be outstanding: the
-    /// conductor barriers every tick before issuing new control.
-    fn recv_from<T>(&self, from: usize, pick: impl Fn(ShardReply<P::Node>) -> Option<T>) -> T {
-        let (shard, reply) = self
+    fn send(&self, shard: usize, msg: ShardCtrl) {
+        self.ctrls[shard].send(msg).expect("shard alive");
+    }
+
+    /// Waits for the next shard reply and folds its report into the
+    /// snapshots. A `Tick` report replaces the shard's probe outcome;
+    /// an `Initiate` report keeps the last probed tick's.
+    fn recv(&mut self) -> ShardReply {
+        let reply = self
             .reply_rx
             .recv()
             .expect("cluster shard channel closed unexpectedly");
-        assert_eq!(shard, from, "unexpected reply sender during control wait");
-        pick(reply).unwrap_or_else(|| panic!("unexpected reply variant from shard {from}"))
+        let snapshot = &mut self.snapshots[reply.shard];
+        let last_probe = snapshot.probe;
+        *snapshot = reply.report;
+        if reply.initiated.is_some() {
+            snapshot.probe = last_probe;
+        }
+        reply
     }
 
     /// Initiates `event` at a random effectively-online node. `None`
     /// when nobody is up.
     pub fn initiate(&mut self, event: &UpdateEvent) -> Option<UpdateId> {
-        let candidates = self.online_peers();
-        if candidates.is_empty() {
-            return None;
-        }
-        let initiator = candidates[self.ctrl_rng.gen_range(0..candidates.len())];
-        let shard = self.map.shard_of(initiator.index());
-        self.ctrls[shard]
-            .send(ShardCtrl::Initiate {
-                peer: initiator,
-                event: event.clone(),
-                round: self.rounds_run,
-            })
-            .expect("shard alive");
-        let (update, report) = self.recv_from(shard, |reply| match reply {
-            ShardReply::Initiated { update, report } => Some((update, report)),
-            _ => None,
-        });
-        // Fold the fresh snapshot so traffic accounting never lags an
-        // initiation; the probe outcome still belongs to the last
-        // probed tick.
-        let probe = self.snapshots[shard].probe;
-        self.snapshots[shard] = report;
-        self.snapshots[shard].probe = probe;
-        if let Some(trace) = self.trace.as_mut() {
-            trace.initiate(self.rounds_run, initiator, update);
-        }
+        let peer = self.conductor.pick_initiator()?;
+        let (event, round) = (event.clone(), self.rounds_run());
+        self.send(
+            self.map.shard_of(peer.index()),
+            ShardCtrl::Initiate { peer, event, round },
+        );
+        // No other reply can be outstanding: every tick is barriered
+        // before new control is issued. Folding the fresh snapshot keeps
+        // traffic accounting from lagging an initiation.
+        let update = self.recv().initiated.expect("reply to an Initiate");
+        self.conductor.initiated(peer, update);
         Some(update)
     }
 
     /// Executes one round across all shards, with an optional awareness
     /// probe for `probe`.
     pub fn step(&mut self, probe: Option<UpdateId>) {
-        if self.rounds_run > 0 {
-            self.churn
-                .step(self.rounds_run - 1, &mut self.online, &mut self.churn_rng);
-        }
-        let round = self.rounds_run;
-        if let Some(trace) = self.trace.as_mut() {
-            trace.round_start(round, &self.online);
-        }
+        let (round, events) = self.conductor.begin_round(probe);
         // Fault events ride the ctrl channels ahead of the tick: FIFO
         // ordering guarantees a shard parks/un-parks the cell before it
         // pumps this round.
-        let events = self.faults.step(round);
-        if let Some(trace) = self.trace.as_mut() {
-            trace.fault_events(round, &events);
+        for (peer, parked) in events.parkings() {
+            self.send(
+                self.map.shard_of(peer.index()),
+                ShardCtrl::Park { peer, parked },
+            );
         }
-        for peer in events.restarts {
-            self.ctrls[self.map.shard_of(peer.index())]
-                .send(ShardCtrl::Restart { peer })
-                .expect("shard alive");
-        }
-        if let Some(peer) = events.crash {
-            self.ctrls[self.map.shard_of(peer.index())]
-                .send(ShardCtrl::Crash { peer })
-                .expect("shard alive");
-        }
-        if let Some(update) = probe {
-            if self.probed_update != Some(update) {
-                // A fresh update is being probed: the previous probe's
-                // convergence verdict must not leak into this one.
-                self.probed_update = Some(update);
-                self.converged_round = None;
-            }
-        }
-
         // Broadcast the tick to every shard…
-        for (shard, ctrl) in self.ctrls.iter().enumerate() {
+        for shard in 0..self.ctrls.len() {
             let online = self
                 .map
                 .range(shard)
-                .map(|i| self.online.is_online(PeerId::new(i as u32)))
+                .map(|i| self.conductor.is_online(PeerId::new(i as u32)))
                 .collect();
-            ctrl.send(ShardCtrl::Tick {
-                round,
-                online,
-                probe,
-            })
-            .expect("shard alive");
+            self.send(
+                shard,
+                ShardCtrl::Tick {
+                    round,
+                    online,
+                    probe,
+                },
+            );
         }
         // …and barrier on their reports.
         for _ in 0..self.ctrls.len() {
-            let (shard, reply) = self
-                .reply_rx
-                .recv()
-                .expect("cluster shard channel closed unexpectedly");
-            match reply {
-                ShardReply::Done(report) => self.snapshots[shard] = report,
-                _ => panic!("unexpected non-Done reply from shard {shard} during tick barrier"),
-            }
+            self.recv();
         }
-        self.rounds_run += 1;
-
-        if probe.is_some() && self.converged_round.is_none() && self.probe_converged() {
-            self.converged_round = Some(round);
-        }
-    }
-
-    /// Whether the last probed tick saw every effectively-online cell
-    /// aware (and at least one online), per the shard reports.
-    fn probe_converged(&self) -> bool {
-        let mut any = false;
-        for snapshot in &self.snapshots {
-            let Some(probe) = snapshot.probe else {
-                return false;
-            };
-            if !probe.all_online_aware {
-                return false;
-            }
-            any |= probe.any_online;
-        }
-        any
+        self.conductor
+            .end_round(probe, self.snapshots.iter().map(|s| s.probe));
     }
 
     /// Runs `n` rounds without probing (the throughput path).
@@ -641,11 +403,10 @@ where
     /// Steps (probing every round) until every online node is aware of
     /// `update` or `max_rounds` elapse; returns the converged round.
     pub fn run_until_all_online_aware(&mut self, update: UpdateId, max_rounds: u32) -> Option<u32> {
-        let start = self.rounds_run;
-        while self.rounds_run - start < max_rounds {
+        for _ in 0..max_rounds {
             self.step(Some(update));
-            if self.converged_round.is_some() {
-                return self.converged_round;
+            if self.conductor.converged_round().is_some() {
+                return self.conductor.converged_round();
             }
         }
         None
@@ -667,59 +428,13 @@ where
         update: UpdateId,
         label: &str,
     ) -> (ClusterReport, Option<TraceDoc>) {
-        let mut shard_cells: Vec<Vec<NodeCell<P::Node>>> = Vec::with_capacity(self.ctrls.len());
-        shard_cells.resize_with(self.ctrls.len(), Vec::new);
-        for ctrl in &self.ctrls {
-            ctrl.send(ShardCtrl::Stop).expect("shard alive");
+        self.ctrls.clear(); // closes every control channel: workers return
+        let mut cells: Vec<NodeCell<P::Node>> = Vec::with_capacity(self.population());
+        for handle in self.handles.drain(..) {
+            cells.extend(handle.join().expect("cluster shard panicked"));
         }
-        for _ in 0..self.ctrls.len() {
-            let (shard, reply) = self
-                .reply_rx
-                .recv()
-                .expect("cluster shard channel closed unexpectedly");
-            match reply {
-                ShardReply::Stopped { cells } => shard_cells[shard] = cells,
-                _ => panic!("unexpected non-Stopped reply from shard {shard} during shutdown"),
-            }
-        }
-        for handle in &mut self.handles {
-            if let Some(handle) = handle.take() {
-                handle.join().expect("cluster shard panicked");
-            }
-        }
-        let mut cells: Vec<NodeCell<P::Node>> = shard_cells.into_iter().flatten().collect();
-
-        let aware_set: Vec<PeerId> = cells
-            .iter()
-            .filter(|c| self.protocol.is_aware(&c.node, update))
-            .map(|c| c.id)
-            .collect();
-        let online = self.online_count();
-        let aware_online = aware_set
-            .iter()
-            .filter(|&&p| self.effective_online(p))
-            .count();
-        let report = ClusterReport::fold(
-            crate::report::RunOutcome {
-                rounds: self.rounds_run,
-                crashes: self.faults.crashes,
-                restarts: self.faults.restarts,
-                online,
-                aware_online,
-                converged_round: self.converged_round,
-                aware_set,
-                byzantine: self.byzantine.iter().filter(|&&f| f).count(),
-            },
-            cells.iter().map(|c| &c.stats),
-        );
-        let population = self.map.population() as u32;
-        let trace = self.trace.as_mut().map(|conductor| {
-            let buffers = std::iter::once(conductor.take())
-                .chain(cells.iter_mut().map(NodeCell::take_trace))
-                .collect::<Vec<_>>();
-            TraceDoc::merge(label, self.seed, population, buffers)
-        });
-        (report, trace)
+        let report = self.conductor.report(&*self.protocol, &cells, update);
+        (report, self.conductor.merge_trace(label, &mut cells))
     }
 }
 
@@ -731,16 +446,11 @@ where
 {
     fn drop(&mut self) {
         // Best-effort shutdown for clusters dropped without `finish`
-        // (including unwinds): stop every shard and join it. After a
-        // `finish` the channels are closed and the handles taken, so
-        // both loops no-op.
-        for ctrl in &self.ctrls {
-            let _ = ctrl.send(ShardCtrl::Stop);
-        }
-        for handle in &mut self.handles {
-            if let Some(handle) = handle.take() {
-                let _ = handle.join();
-            }
+        // (including unwinds): close every control channel and join the
+        // workers. After a `finish` both are already drained.
+        self.ctrls.clear();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
     }
 }
@@ -753,11 +463,11 @@ mod tests {
     fn shard_map_partitions_contiguously_and_exhaustively() {
         for (population, workers) in [(1, 1), (5, 2), (7, 8), (64, 6), (1000, 16), (10_000, 12)] {
             let map = ShardMap::new(population, workers);
-            assert!(map.shards() <= workers.max(1));
-            assert!(map.shards() <= population);
+            assert!(map.shards <= workers.max(1));
+            assert!(map.shards <= population);
             let mut covered = 0usize;
             let mut next = 0usize;
-            for shard in 0..map.shards() {
+            for shard in 0..map.shards {
                 let range = map.range(shard);
                 assert_eq!(range.start, next, "ranges must be contiguous");
                 next = range.end;
@@ -778,7 +488,7 @@ mod tests {
     #[test]
     fn shard_sizes_differ_by_at_most_one() {
         let map = ShardMap::new(10, 4);
-        let sizes: Vec<usize> = (0..map.shards()).map(|s| map.range(s).len()).collect();
+        let sizes: Vec<usize> = (0..map.shards).map(|s| map.range(s).len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         let max = sizes.iter().max().unwrap();
         let min = sizes.iter().min().unwrap();
@@ -787,8 +497,8 @@ mod tests {
 
     #[test]
     fn worker_count_is_clamped_to_the_population() {
-        assert_eq!(ShardMap::new(3, 64).shards(), 3);
-        assert_eq!(ShardMap::new(64, 0).shards(), 1);
-        assert_eq!(ShardMap::new(64, 4).shards(), 4);
+        assert_eq!(ShardMap::new(3, 64).shards, 3);
+        assert_eq!(ShardMap::new(64, 0).shards, 1);
+        assert_eq!(ShardMap::new(64, 4).shards, 4);
     }
 }

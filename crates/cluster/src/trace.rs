@@ -1,15 +1,15 @@
-//! Conductor-side trace capture shared by the three executors.
+//! Conductor-side trace capture.
 //!
 //! Message-level events (send, deliver, drop, timer, tamper) are
 //! captured inside each [`NodeCell`](crate::cell::NodeCell)'s own
 //! `MemTracer`, so they never cross a thread boundary until the run
 //! finishes. Everything the *conductor* decides — round boundaries,
 //! churn transitions, crash/restart faults, update initiations — is
-//! captured here instead, from the same seeded streams in the same
-//! order in all three modes. That makes the environment sub-trace
+//! captured here instead, by the one conductor both front-ends share.
+//! That makes the environment sub-trace
 //! ([`TraceDoc::environment`](rumor_obs::TraceDoc::environment))
-//! byte-identical across the virtual, threaded and sharded executors
-//! and across worker counts, even though message interleavings (and
+//! byte-identical across the virtual-time and sharded front-ends and
+//! across worker counts, even though message interleavings (and
 //! therefore the full trace) are only deterministic in virtual time.
 
 use crate::fault::FaultEvents;
@@ -92,7 +92,7 @@ impl ConductorTrace {
     }
 
     /// Folds one convergence-probe observation (virtual time only, where
-    /// per-node awareness is visible to the conductor): emits `Aware`
+    /// per-node awareness is visible to the front-end): emits `Aware`
     /// for every node newly aware of `update`, then the probe summary.
     /// The initiator counts as aware from its `Initiate` event, not a
     /// duplicate `Aware`.

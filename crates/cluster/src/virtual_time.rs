@@ -1,24 +1,23 @@
-//! The deterministic single-threaded virtual-time mode.
+//! The deterministic virtual-time front-end: the conductor driving one
+//! shard inline.
 //!
-//! Same runtime semantics as the threaded mode — encoded frames, crash
-//! faults, loss, delay — but executed on one thread in a fixed order, so
-//! outcomes are bit-reproducible per scenario seed and can be
-//! golden-pinned by `cargo test`. The multi-threaded
-//! [`ThreadedCluster`](crate::ThreadedCluster) is the throughput path;
-//! this is the correctness path.
+//! No threads, no channels, no `Send` bounds: every cell ticks on the
+//! caller's thread in id order and the frames they send loop straight
+//! back into their targets' inboxes, so outcomes are bit-reproducible
+//! per scenario seed and can be golden-pinned by `cargo test`. Runtime
+//! semantics — encoded frames, crash faults, loss, delay — are those of
+//! [`ShardedCluster`](crate::ShardedCluster), which is the throughput
+//! path; this is the correctness path.
 
-use crate::cell::{DelaySpec, Envelope, NodeCell};
-use crate::fault::{FaultInjector, FaultSpec};
+use crate::builder::ClusterBuilder;
+use crate::cell::Envelope;
+use crate::conductor::Conductor;
 use crate::report::ClusterReport;
-use crate::trace::ConductorTrace;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use rumor_churn::{Churn, OnlineSet};
+use crate::shard::Shard;
 use rumor_net::{LinkFilter, Node};
 use rumor_obs::TraceDoc;
-use rumor_sim::{Protocol, Scenario, UpdateEvent};
-use rumor_types::{derive_seed, PeerId, Round, UpdateId};
+use rumor_sim::{Protocol, UpdateEvent};
+use rumor_types::{PeerId, UpdateId};
 use rumor_wire::{Decode, Encode};
 
 /// A live cluster executed deterministically in virtual time.
@@ -30,22 +29,10 @@ where
     <P::Node as Node>::Msg: Encode + Decode,
 {
     protocol: P,
-    cells: Vec<NodeCell<P::Node>>,
-    online: OnlineSet,
-    churn: Box<dyn Churn>,
-    churn_rng: ChaCha8Rng,
-    ctrl_rng: ChaCha8Rng,
+    conductor: Conductor,
+    shard: Shard<P::Node>,
     filter: Box<dyn LinkFilter + Send + Sync>,
-    faults: FaultInjector,
-    byzantine: Vec<bool>,
-    rounds_run: u32,
-    converged_round: Option<u32>,
-    /// The update the convergence round belongs to; tracking a
-    /// different update resets `converged_round`.
-    probed_update: Option<UpdateId>,
     staged: Vec<(PeerId, Envelope)>,
-    seed: u64,
-    trace: Option<ConductorTrace>,
 }
 
 impl<P: Protocol> std::fmt::Debug for VirtualCluster<P>
@@ -54,8 +41,8 @@ where
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VirtualCluster")
-            .field("population", &self.cells.len())
-            .field("rounds_run", &self.rounds_run)
+            .field("population", &self.population())
+            .field("rounds_run", &self.rounds_run())
             .finish_non_exhaustive()
     }
 }
@@ -64,143 +51,86 @@ impl<P: Protocol> VirtualCluster<P>
 where
     <P::Node as Node>::Msg: Encode + Decode,
 {
-    pub(crate) fn mount(
-        scenario: &Scenario,
-        protocol: P,
-        faults: FaultSpec,
-        delay: DelaySpec,
-        wire: rumor_wire::WireVersion,
-        trace: bool,
-    ) -> Self {
-        let online = scenario.initial_online_set();
-        let (cells, byzantine) =
-            crate::builder::build_cells(scenario, &protocol, &online, &faults, delay, wire, trace);
-        let population = cells.len();
-        let trace = trace.then(|| ConductorTrace::new(&online, population));
+    pub(crate) fn mount(builder: &ClusterBuilder<'_>, protocol: P) -> Self {
+        let (conductor, cells) = Conductor::mount(builder, &protocol);
         Self {
             protocol,
-            cells,
-            online,
-            churn: scenario.make_churn(),
-            churn_rng: ChaCha8Rng::seed_from_u64(derive_seed(scenario.seed(), "churn")),
-            ctrl_rng: ChaCha8Rng::seed_from_u64(derive_seed(scenario.seed(), "cluster/control")),
-            filter: scenario.link_filter(),
-            faults: FaultInjector::new(
-                faults,
-                derive_seed(scenario.seed(), "cluster/fault"),
-                population,
-            ),
-            byzantine,
-            rounds_run: 0,
-            converged_round: None,
-            probed_update: None,
+            conductor,
+            shard: Shard::new(0, cells),
+            filter: builder.scenario.link_filter(),
             staged: Vec::new(),
-            seed: scenario.seed(),
-            trace,
         }
     }
 
     /// Population size.
     pub fn population(&self) -> usize {
-        self.cells.len()
+        self.conductor.population()
     }
 
     /// Rounds executed so far.
     pub fn rounds_run(&self) -> u32 {
-        self.rounds_run
+        self.conductor.rounds_run()
     }
 
     /// Nodes that are churn-online *and* not crashed.
     pub fn online_count(&self) -> usize {
-        (0..self.cells.len())
-            .filter(|&i| self.effective_online(PeerId::new(i as u32)))
-            .count()
+        self.online_peers().len()
     }
 
-    fn effective_online(&self, peer: PeerId) -> bool {
-        self.online.is_online(peer) && !self.faults.is_down(peer)
+    /// Peers that are churn-online and not crashed right now, ascending.
+    pub fn online_peers(&self) -> Vec<PeerId> {
+        self.conductor.online_peers()
     }
 
     /// Whether `peer` was mounted as a Byzantine member.
     pub fn is_byzantine(&self, peer: PeerId) -> bool {
-        self.byzantine.get(peer.index()).copied().unwrap_or(false)
+        self.conductor.is_byzantine(peer)
     }
 
     /// Read access to `peer`'s protocol node (for external oracles that
     /// inspect replica state, e.g. the chaos fuzzer's convergence check).
     pub fn node(&self, peer: PeerId) -> &P::Node {
-        &self.cells[peer.index()].node
-    }
-
-    /// Peers that are churn-online and not crashed right now, ascending.
-    pub fn online_peers(&self) -> Vec<PeerId> {
-        (0..self.cells.len() as u32)
-            .map(PeerId::new)
-            .filter(|&p| self.effective_online(p))
-            .collect()
+        &self.shard.cells[peer.index()].node
     }
 
     /// Initiates `event` at a random effectively-online node (its round-0
     /// frames are delivered next tick). `None` when nobody is up.
     pub fn initiate(&mut self, event: &UpdateEvent) -> Option<UpdateId> {
-        let candidates: Vec<PeerId> = (0..self.cells.len() as u32)
-            .map(PeerId::new)
-            .filter(|&p| self.effective_online(p))
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let initiator = candidates[self.ctrl_rng.gen_range(0..candidates.len())];
-        let round = self.rounds_run;
-        let mut staged = std::mem::take(&mut self.staged);
-        let protocol = &self.protocol;
-        let update = self.cells[initiator.index()].initiate(
-            round,
-            |node, rng, sink| protocol.initiate(node, event, Round::new(round), rng, sink),
+        let initiator = self.conductor.pick_initiator()?;
+        let staged = &mut self.staged;
+        let update = self.shard.initiate(
+            &self.protocol,
+            initiator,
+            event,
+            self.conductor.rounds_run(),
             &mut |to, env| staged.push((to, env)),
         );
-        for (to, env) in staged.drain(..) {
-            self.cells[to.index()].inbox.push_back(env);
-        }
-        self.staged = staged;
-        if let Some(trace) = self.trace.as_mut() {
-            trace.initiate(round, initiator, update);
-        }
+        self.shard.accept(self.staged.drain(..));
+        self.conductor.initiated(initiator, update);
         Some(update)
     }
 
     /// Executes one round: churn transition (after round 0), fault
     /// events, one tick per live node in id order, then delivery staging.
     pub fn step(&mut self) {
-        if self.rounds_run > 0 {
-            self.churn
-                .step(self.rounds_run - 1, &mut self.online, &mut self.churn_rng);
+        self.step_probing(None);
+    }
+
+    fn step_probing(&mut self, probe: Option<UpdateId>) {
+        let (round, events) = self.conductor.begin_round(probe);
+        for (peer, parked) in events.parkings() {
+            self.shard.set_parked(peer, parked);
         }
-        let round = self.rounds_run;
-        if let Some(trace) = self.trace.as_mut() {
-            trace.round_start(round, &self.online);
-        }
-        let events = self.faults.step(round);
-        if let Some(trace) = self.trace.as_mut() {
-            trace.fault_events(round, &events);
-        }
-        let mut staged = std::mem::take(&mut self.staged);
-        for i in 0..self.cells.len() {
-            let peer = PeerId::new(i as u32);
-            if self.faults.is_down(peer) {
-                continue; // dead executor: no tick, inbox accumulates
-            }
-            let online = self.online.is_online(peer);
-            let filter = &self.filter;
-            self.cells[i].tick(round, online, filter, &mut |to, env| {
+        let conductor = &self.conductor;
+        let online = |peer| conductor.is_online(peer);
+        let staged = &mut self.staged;
+        self.shard
+            .tick(round, &online, &*self.filter, &mut |to, env| {
                 staged.push((to, env));
             });
-        }
-        for (to, env) in staged.drain(..) {
-            self.cells[to.index()].inbox.push_back(env);
-        }
-        self.staged = staged;
-        self.rounds_run += 1;
+        self.shard.accept(self.staged.drain(..));
+        let outcome = probe.map(|update| self.shard.probe(&self.protocol, &online, update));
+        self.conductor.end_round(probe, [outcome]);
     }
 
     /// Runs `n` rounds.
@@ -213,22 +143,19 @@ where
     /// True when no frame is queued anywhere, no timer is armed and no
     /// node is crashed (a dead node's inbox may hide in-flight frames).
     pub fn is_quiescent(&self) -> bool {
-        !self.faults.any_down()
-            && self
-                .cells
-                .iter()
-                .all(|c| c.pending_frames() == 0 && c.pending_timers() == 0)
+        let mut cells = self.shard.cells.iter();
+        !self.conductor.any_down()
+            && cells.all(|c| c.pending_frames() == 0 && c.pending_timers() == 0)
     }
 
     /// Whether `peer`'s node is aware of `update`.
     pub fn is_aware(&self, peer: PeerId, update: UpdateId) -> bool {
-        self.protocol
-            .is_aware(&self.cells[peer.index()].node, update)
+        self.protocol.is_aware(self.node(peer), update)
     }
 
     /// Every aware replica (offline included), sorted ascending.
     pub fn aware_set(&self, update: UpdateId) -> Vec<PeerId> {
-        (0..self.cells.len() as u32)
+        (0..self.population() as u32)
             .map(PeerId::new)
             .filter(|&p| self.is_aware(p, update))
             .collect()
@@ -237,51 +164,29 @@ where
     /// Whether every effectively-online node is aware (and at least one
     /// node is up).
     pub fn all_online_aware(&self, update: UpdateId) -> bool {
-        let mut any = false;
-        for i in 0..self.cells.len() as u32 {
-            let p = PeerId::new(i);
-            if self.effective_online(p) {
-                any = true;
-                if !self.is_aware(p, update) {
-                    return false;
-                }
-            }
-        }
-        any
+        let outcome = self.shard.probe(
+            &self.protocol,
+            &|peer| self.conductor.is_online(peer),
+            update,
+        );
+        outcome.any_online && outcome.all_online_aware
     }
 
     /// Steps until every online node is aware of `update` (recording the
     /// convergence round) or `max_rounds` elapse. Returns the converged
     /// round if reached.
     pub fn run_until_all_online_aware(&mut self, update: UpdateId, max_rounds: u32) -> Option<u32> {
-        if self.probed_update != Some(update) {
-            // A fresh update is being tracked: the previous update's
-            // convergence round must not leak into this one's report.
-            self.probed_update = Some(update);
-            self.converged_round = None;
-        }
-        let start = self.rounds_run;
-        while self.rounds_run - start < max_rounds {
-            self.step();
-            if let Some(mut trace) = self.trace.take() {
-                // Virtual time is the only mode where the conductor can
-                // see per-node awareness, so only its traces carry
-                // `Aware`/`Probe` events (neither is part of the
-                // environment sub-trace contract).
-                let round = self.rounds_run - 1;
-                let online = self.online_count() as u32;
-                trace.probe(
-                    round,
-                    update,
-                    (0..self.cells.len() as u32).map(|i| self.is_aware(PeerId::new(i), update)),
-                    online,
-                );
-                self.trace = Some(trace);
-            }
-            if self.all_online_aware(update) {
-                let converged = self.rounds_run - 1;
-                self.converged_round.get_or_insert(converged);
-                return Some(converged);
+        for _ in 0..max_rounds {
+            self.step_probing(Some(update));
+            // Only the inline front-end can see per-node awareness, so
+            // only its traces carry `Aware`/`Probe` events (neither is
+            // part of the environment sub-trace contract).
+            let (protocol, cells) = (&self.protocol, &self.shard.cells);
+            self.conductor.trace_probe(update, || {
+                cells.iter().map(|c| protocol.is_aware(&c.node, update))
+            });
+            if self.conductor.converged_round().is_some() {
+                return self.conductor.converged_round();
             }
         }
         None
@@ -294,33 +199,12 @@ where
     /// cluster may keep running afterwards; a second call returns only
     /// events captured since.
     pub fn take_trace(&mut self, label: &str) -> Option<TraceDoc> {
-        let conductor = self.trace.as_mut()?.take();
-        let population = self.cells.len() as u32;
-        let buffers = std::iter::once(conductor)
-            .chain(self.cells.iter_mut().map(NodeCell::take_trace))
-            .collect::<Vec<_>>();
-        Some(TraceDoc::merge(label, self.seed, population, buffers))
+        self.conductor.merge_trace(label, &mut self.shard.cells)
     }
 
     /// Folds the run into a [`ClusterReport`] for the tracked `update`.
     pub fn report(&self, update: UpdateId) -> ClusterReport {
-        let aware_set = self.aware_set(update);
-        let aware_online = aware_set
-            .iter()
-            .filter(|&&p| self.effective_online(p))
-            .count();
-        ClusterReport::fold(
-            crate::report::RunOutcome {
-                rounds: self.rounds_run,
-                crashes: self.faults.crashes,
-                restarts: self.faults.restarts,
-                online: self.online_count(),
-                aware_online,
-                converged_round: self.converged_round,
-                aware_set,
-                byzantine: self.byzantine.iter().filter(|&&f| f).count(),
-            },
-            self.cells.iter().map(|c| &c.stats),
-        )
+        self.conductor
+            .report(&self.protocol, &self.shard.cells, update)
     }
 }

@@ -146,7 +146,7 @@ impl EventKind {
     /// True for *environment* events: decisions the conductor (round
     /// loop, churn model, fault plan) makes independently of message
     /// interleaving. The environment sub-trace of a run is identical
-    /// across the virtual, threaded and sharded executors and any worker
+    /// across the virtual-time and sharded executors and any worker
     /// count, while the full message-level trace is only reproducible on
     /// the single-threaded deterministic paths.
     pub const fn is_environment(&self) -> bool {

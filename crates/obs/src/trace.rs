@@ -46,8 +46,8 @@ impl TraceDoc {
     }
 
     /// Merges several per-cell buffers (each already per-node coherent)
-    /// into one canonical document — how the threaded and sharded
-    /// executors assemble a trace from their worker-local captures.
+    /// into one canonical document — how the cluster conductor
+    /// assembles a trace from its cells' local captures.
     pub fn merge(
         label: &str,
         seed: u64,

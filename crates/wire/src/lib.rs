@@ -14,7 +14,7 @@
 //! functions; `rumor-core` implements them for the paper protocol's
 //! messages (updates, tombstones, digests, partial replica lists) and
 //! `rumor-baselines` for the flooding and Demers message sets. The
-//! live threaded runtime in `rumor-cluster` round-trips every message
+//! live runtime in `rumor-cluster` round-trips every message
 //! through this codec, and the engines' wire-size accounting uses
 //! [`frame_len`] to report bandwidth next to message counts.
 //!

@@ -209,36 +209,6 @@ fn cluster_and_engine_converge_to_the_same_awareness_set() {
 }
 
 #[test]
-fn threaded_cluster_converges_with_thread_crashes() {
-    // The real-time path: 64 OS threads, churn, loss, real thread
-    // crashes and restarts. Nondeterministic interleavings, so the
-    // assertions are about outcomes, not trajectories.
-    let scenario = cluster_scenario(64, 9, 60);
-    let mut cluster = ClusterBuilder::new(&scenario)
-        .faults(FaultSpec {
-            crash_rate: 0.10,
-            restart_after: 4,
-            ..FaultSpec::default()
-        })
-        .expect("sound fault spec")
-        .threaded(paper(64));
-    let update = cluster.initiate(&event()).expect("someone online");
-    // Ride out the whole churn/fault window first (the crash schedule is
-    // seeded: this window provably contains crashes), then require
-    // convergence once the environment calms down.
-    cluster.run_rounds(60);
-    let converged = cluster.run_until_all_online_aware(update, 250);
-    assert!(converged.is_some(), "threaded cluster failed to converge");
-    assert!(cluster.frames_sent() > 0);
-    assert!(cluster.bytes_sent() > cluster.frames_sent() * 6);
-    let report = cluster.finish(update);
-    assert_eq!(report.online, report.aware_online);
-    assert_eq!(report.decode_errors, 0);
-    assert!(report.crashes > 0, "no thread was ever crashed");
-    assert!(report.restarts > 0, "no thread was ever restarted");
-}
-
-#[test]
 fn virtual_cluster_reports_the_second_updates_convergence_round() {
     // Regression: `converged_round` was never reset, so a second
     // tracked update's report carried the *first* update's round.
@@ -268,67 +238,4 @@ fn virtual_cluster_reports_the_second_updates_convergence_round() {
          (first converged at {first_round})"
     );
     assert_eq!(cluster.report(second).converged_round, Some(second_round));
-}
-
-#[test]
-fn threaded_cluster_tracks_sequential_updates_independently() {
-    // Regression for two conductor-side staleness bugs: the probe state
-    // must reset when the tracked update changes, and frames sent while
-    // handling an initiation must reach `frames_sent()` immediately
-    // rather than at the next barrier (or never, if the worker crashes
-    // before its next tick).
-    let scenario = cluster_scenario(48, 15, 0);
-    let mut cluster = ClusterBuilder::new(&scenario).threaded(paper(48));
-    let first = cluster.initiate(&event()).expect("someone online");
-    let first_round = cluster
-        .run_until_all_online_aware(first, 100)
-        .expect("first update converges");
-
-    let rounds_before_second = cluster.rounds_run();
-    let frames_before_second = cluster.frames_sent();
-    let second_event = UpdateEvent {
-        round: rounds_before_second,
-        key: DataKey::from_name("cluster-motd-2"),
-        delete: false,
-        sequence: 1,
-    };
-    let second = cluster.initiate(&second_event).expect("someone online");
-    assert_ne!(first, second);
-    assert!(
-        cluster.frames_sent() > frames_before_second,
-        "initiation frames must reach the accounting before the next barrier"
-    );
-    let second_round = cluster
-        .run_until_all_online_aware(second, 100)
-        .expect("second update converges");
-    assert!(
-        second_round >= rounds_before_second,
-        "second convergence round {second_round} predates the second \
-         initiation at {rounds_before_second} — stale probe state \
-         (first converged at {first_round})"
-    );
-    let report = cluster.finish(second);
-    assert_eq!(report.converged_round, Some(second_round));
-    assert_eq!(report.online, report.aware_online);
-}
-
-#[test]
-fn threaded_cluster_drains_to_quiescence_without_round_start_traffic() {
-    // Flood-style traffic (no per-round pulls) must quiesce: every frame
-    // sent is eventually consumed and the conductor can prove it from
-    // the barrier reports alone.
-    use rumor::baselines::GnutellaFlooding;
-    let scenario = Scenario::builder(24, 5).build().expect("valid scenario");
-    let mut cluster =
-        ClusterBuilder::new(&scenario).threaded(GnutellaFlooding { fanout: 4, ttl: 6 });
-    let update = cluster.initiate(&event()).expect("someone online");
-    cluster.run_rounds(30);
-    assert!(cluster.is_quiescent(), "flood must drain");
-    let report = cluster.finish(update);
-    assert_eq!(
-        report.frames_sent,
-        report.frames_delivered + report.lost_offline + report.lost_fault + report.decode_errors,
-        "every frame is accounted exactly once"
-    );
-    assert!(report.aware_online_fraction() > 0.9);
 }

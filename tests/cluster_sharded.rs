@@ -1,15 +1,21 @@
 //! Sharded-executor integration suite: M worker threads hosting N
 //! replica cells must (a) converge under churn + loss + crashes like
-//! the other two modes, (b) agree with the thread-per-node mode on the
-//! converged online population when driven by the identical scenario
-//! (same churn, fault and Byzantine substreams), (c) drain flood-style
-//! traffic to provable quiescence with exact frame conservation, and
-//! (d) track multiple sequential updates correctly — the
-//! converged-round reset and initiate-stats-freshness fixes end to end.
+//! the virtual-time front-end, (b) agree across worker placements —
+//! one thread per replica vs a 4-worker pool — on the converged online
+//! population when driven by the identical scenario (same churn, fault
+//! and Byzantine substreams), (c) drain flood-style traffic to provable
+//! quiescence with exact frame conservation, (d) track multiple
+//! sequential updates correctly — the converged-round reset and
+//! initiate-stats-freshness fixes end to end — and (e) with one worker
+//! be the virtual-time front-end bit for bit: the contract that lets
+//! both share one conductor and one shard core.
 
 use rand_chacha::ChaCha8Rng;
 use rumor::churn::{Churn, MarkovChurn, OnlineSet};
-use rumor::cluster::{ByzantineBehaviour, ByzantineSpec, ClusterBuilder, FaultSpec};
+use rumor::cluster::{
+    ByzantineBehaviour, ByzantineSpec, ClusterBuilder, ClusterReport, DelaySpec, FaultSpec,
+    WireVersion,
+};
 use rumor::core::{ProtocolConfig, PullStrategy};
 use rumor::sim::{PaperProtocol, Scenario, UpdateEvent};
 use rumor::types::{DataKey, PeerId};
@@ -99,14 +105,14 @@ fn sharded_cluster_converges_under_churn_loss_and_crashes() {
 
 #[test]
 fn threaded_and_sharded_agree_on_the_converged_population() {
-    // The same Scenario drives both real-time modes. Churn, fault and
-    // Byzantine substreams are identical, and both conductors consume
-    // the control stream identically, so after the same number of
-    // rounds the environments match exactly: same online set, same
-    // down set, same initiator, same adversaries. Message
-    // interleavings (and so per-frame trajectories) differ — the
+    // The same Scenario drives both worker placements of the one
+    // executor: `workers(256)` is one OS thread per replica, `workers(4)`
+    // the pool. Churn, fault and Byzantine substreams are identical and
+    // the conductor consumes the control stream identically, so after
+    // the same number of rounds the environments match exactly: same
+    // online set, same down set, same initiator, same adversaries.
+    // Message interleavings (and so per-frame trajectories) differ — the
     // invariants compared are outcome-level.
-    let horizon = 200;
     let scenario = cluster_scenario(256, 4243, 50);
     let faults = FaultSpec {
         crash_rate: 0.06,
@@ -116,30 +122,25 @@ fn threaded_and_sharded_agree_on_the_converged_population() {
             behaviour: ByzantineBehaviour::DigestLie,
         },
     };
+    let run = |workers: usize| {
+        let mut cluster = ClusterBuilder::new(&scenario)
+            .faults(faults)
+            .expect("sound fault spec")
+            .workers(workers)
+            .sharded(paper(256));
+        assert_eq!(cluster.workers(), workers);
+        let update = cluster.initiate(&event("parity")).expect("someone online");
+        cluster.run_rounds(200);
+        let online = cluster.online_peers();
+        (update, online, cluster.finish(update))
+    };
+    let (threaded_update, threaded_online, threaded_report) = run(256);
+    let (sharded_update, sharded_online, sharded_report) = run(4);
 
-    let mut threaded = ClusterBuilder::new(&scenario)
-        .faults(faults)
-        .expect("sound fault spec")
-        .threaded(paper(256));
-    let threaded_update = threaded.initiate(&event("parity")).expect("someone online");
-    threaded.run_rounds(horizon);
-    let threaded_online = threaded.online_peers();
-    let threaded_report = threaded.finish(threaded_update);
-
-    let mut sharded = ClusterBuilder::new(&scenario)
-        .faults(faults)
-        .expect("sound fault spec")
-        .workers(4)
-        .sharded(paper(256));
-    let sharded_update = sharded.initiate(&event("parity")).expect("someone online");
     assert_eq!(
         threaded_update, sharded_update,
         "same control substream must pick the same initiator"
     );
-    sharded.run_rounds(horizon);
-    let sharded_online = sharded.online_peers();
-    let sharded_report = sharded.finish(sharded_update);
-
     // Identical environment trajectory…
     assert_eq!(
         threaded_online, sharded_online,
@@ -149,28 +150,21 @@ fn threaded_and_sharded_agree_on_the_converged_population() {
     assert_eq!(threaded_report.restarts, sharded_report.restarts);
     assert_eq!(threaded_report.byzantine, sharded_report.byzantine);
     assert!(threaded_report.byzantine > 0, "no adversary was mounted");
-    // …and the same awareness outcome over it: both modes fully
+    // …and the same awareness outcome over it: both placements fully
     // converged their online population despite the digest liars.
     assert_eq!(threaded_report.online, threaded_report.aware_online);
     assert_eq!(sharded_report.online, sharded_report.aware_online);
-    let threaded_aware_online: Vec<PeerId> = threaded_report
-        .aware_set
-        .iter()
-        .copied()
-        .filter(|p| threaded_online.contains(p))
-        .collect();
-    let sharded_aware_online: Vec<PeerId> = sharded_report
-        .aware_set
-        .iter()
-        .copied()
-        .filter(|p| sharded_online.contains(p))
-        .collect();
+    let aware_online = |report: &ClusterReport| -> Vec<PeerId> {
+        let aware = report.aware_set.iter().copied();
+        aware.filter(|p| sharded_online.contains(p)).collect()
+    };
     assert_eq!(
-        threaded_aware_online, sharded_aware_online,
+        aware_online(&threaded_report),
+        aware_online(&sharded_report),
         "awareness over the shared online population diverged"
     );
-    // Frame conservation holds in both modes: nothing is created or
-    // destroyed outside the four consumption buckets (exact equality
+    // Frame conservation holds in both placements: nothing is created
+    // or destroyed outside the four consumption buckets (exact equality
     // needs quiescence, which staleness pulls never reach — in-flight
     // frames keep `consumed ≤ sent` an inequality here).
     for report in [&threaded_report, &sharded_report] {
@@ -267,4 +261,94 @@ fn worker_count_defaults_to_available_parallelism_and_clamps() {
     let scenario = Scenario::builder(8, 4).build().expect("valid scenario");
     let cluster = ClusterBuilder::new(&scenario).workers(64).sharded(paper(8));
     assert_eq!(cluster.workers(), 8, "worker pool clamps to population");
+}
+
+#[test]
+fn one_worker_sharded_is_virtual_time_bit_for_bit() {
+    // Crash faults, churn, loss, a second update initiated mid-run and
+    // probed to convergence: with a single worker the cells tick in id
+    // order and frames re-enter the inboxes in send order, so the whole
+    // report — traffic ledger, aware set, convergence round — must
+    // equal the inline front-end's field for field.
+    let faults = FaultSpec {
+        crash_rate: 0.10,
+        restart_after: 4,
+        ..FaultSpec::default()
+    };
+    let delayed = DelaySpec {
+        max_extra_rounds: 3,
+    };
+    for seed in [7, 2026, 4243] {
+        for wire in [WireVersion::V1, WireVersion::V2] {
+            for delay in [DelaySpec::default(), delayed] {
+                let case = format!("seed {seed}, {wire:?}, {delay:?}");
+                let scenario = cluster_scenario(64, seed, 40);
+                let builder = || {
+                    ClusterBuilder::new(&scenario)
+                        .faults(faults)
+                        .expect("sound fault spec")
+                        .wire(wire)
+                        .delay(delay)
+                };
+
+                let mut inline = builder().virtual_time(paper(64));
+                inline.initiate(&event("first")).expect("someone online");
+                inline.run_rounds(30);
+                let update = inline.initiate(&event("second")).expect("someone online");
+                let inline_round = inline.run_until_all_online_aware(update, 250);
+
+                let mut pooled = builder().workers(1).sharded(paper(64));
+                pooled.initiate(&event("first")).expect("someone online");
+                pooled.run_rounds(30);
+                let pooled_update = pooled.initiate(&event("second")).expect("someone online");
+                assert_eq!(update, pooled_update, "{case}: initiator diverged");
+                let pooled_round = pooled.run_until_all_online_aware(update, 250);
+
+                assert!(inline_round.is_some(), "{case}: never converged");
+                assert_eq!(inline_round, pooled_round, "{case}: convergence round");
+                let report = inline.report(update);
+                assert!(report.crashes > 0, "{case}: fault schedule never fired");
+                assert_eq!(report, pooled.finish(update), "{case}: reports diverged");
+            }
+        }
+    }
+}
+
+#[test]
+fn reports_carry_a_convergence_round_only_for_the_probed_update() {
+    // Regression: the report fold copied the conductor's convergence
+    // round unconditionally, so after probing `a` a report for the
+    // unprobed `b` claimed `a`'s round. One fold, both front-ends.
+    let scenario = cluster_scenario(48, 13, 0);
+
+    let mut inline = ClusterBuilder::new(&scenario).virtual_time(paper(48));
+    let a = inline.initiate(&event("a")).expect("someone online");
+    let a_round = inline
+        .run_until_all_online_aware(a, 100)
+        .expect("a converges");
+    let b = inline.initiate(&event("b")).expect("someone online");
+    assert_eq!(inline.report(b).converged_round, None, "b was never probed");
+    assert_eq!(inline.report(a).converged_round, Some(a_round));
+    let b_round = inline
+        .run_until_all_online_aware(b, 100)
+        .expect("b converges");
+    assert_eq!(inline.report(b).converged_round, Some(b_round));
+    assert_eq!(inline.report(a).converged_round, None, "probe moved to b");
+
+    // `finish` consumes the cluster: one run per asserted report.
+    for finish_on_b in [true, false] {
+        let mut pooled = ClusterBuilder::new(&scenario).workers(3).sharded(paper(48));
+        let a = pooled.initiate(&event("a")).expect("someone online");
+        let a_round = pooled
+            .run_until_all_online_aware(a, 100)
+            .expect("a converges");
+        let b = pooled.initiate(&event("b")).expect("someone online");
+        if finish_on_b {
+            assert_eq!(pooled.finish(b).converged_round, None, "b was never probed");
+        } else {
+            // Re-probing the probed update keeps its first verdict.
+            assert_eq!(pooled.run_until_all_online_aware(a, 10), Some(a_round));
+            assert_eq!(pooled.finish(a).converged_round, Some(a_round));
+        }
+    }
 }

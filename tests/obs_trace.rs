@@ -7,9 +7,10 @@
 //!   digest, so any drift in event emission, ordering or JSON layout is
 //!   caught.
 //! - The environment sub-trace (round starts, churn, crashes, restarts,
-//!   initiations) is byte-identical between the thread-per-node and
-//!   sharded executors at N = 256 under churn + crashes + Byzantine
-//!   members, and invariant to the sharded worker count (including the
+//!   initiations) is byte-identical between the virtual-time front-end
+//!   and the sharded executor (worker pool and thread-per-replica
+//!   placements) at N = 256 under churn + crashes + Byzantine members,
+//!   and invariant to the sharded worker count (including the
 //!   `RUMOR_TEST_THREADS` CI matrix).
 //! - Mounting a `MemTracer` on the reference engine driver reproduces
 //!   the untraced engine-parity signature bit for bit — tracing draws
@@ -121,61 +122,62 @@ fn virtual_cluster_trace_is_golden_pinned_byte_for_byte() {
 #[test]
 fn environment_trace_is_identical_across_real_time_executors() {
     // Mirror of the sharded-executor parity scenario: N = 256, churn
-    // for 50 rounds, crash faults and a digest-lie block. Message
-    // interleavings differ between the modes, so full traces differ —
-    // but the environment sub-trace is conductor-driven and must match
-    // byte for byte.
+    // for 50 rounds, crash faults and a digest-lie block, on the inline
+    // virtual-time front-end and on both real-time worker placements
+    // (a 4-worker pool, one thread per replica). Message interleavings
+    // differ between them, so full traces differ — but the environment
+    // sub-trace is conductor-driven and must match byte for byte.
     let horizon = 200;
     let scenario = cluster_scenario(256, 4243, 50);
-    let faults = FaultSpec {
-        crash_rate: 0.06,
-        restart_after: 4,
-        byzantine: ByzantineSpec {
-            fraction: 0.05,
-            behaviour: ByzantineBehaviour::DigestLie,
-        },
+    let builder = || {
+        ClusterBuilder::new(&scenario)
+            .faults(FaultSpec {
+                crash_rate: 0.06,
+                restart_after: 4,
+                byzantine: ByzantineSpec {
+                    fraction: 0.05,
+                    behaviour: ByzantineBehaviour::DigestLie,
+                },
+            })
+            .expect("sound fault spec")
+            .traced()
     };
 
-    let mut threaded = ClusterBuilder::new(&scenario)
-        .faults(faults)
-        .expect("sound fault spec")
-        .traced()
-        .threaded(paper(256));
-    let update = threaded.initiate(&event("parity")).expect("someone online");
-    threaded.run_rounds(horizon);
-    let (threaded_report, threaded_trace) = threaded.finish_traced(update, "parity");
-    let threaded_trace = threaded_trace.expect("threaded cluster was traced");
-
-    let mut sharded = ClusterBuilder::new(&scenario)
-        .faults(faults)
-        .expect("sound fault spec")
-        .traced()
-        .workers(4)
-        .sharded(paper(256));
-    let sharded_update = sharded.initiate(&event("parity")).expect("someone online");
-    assert_eq!(update, sharded_update);
-    sharded.run_rounds(horizon);
-    let (_sharded_report, sharded_trace) = sharded.finish_traced(sharded_update, "parity");
-    let sharded_trace = sharded_trace.expect("sharded cluster was traced");
-
+    let mut inline = builder().virtual_time(paper(256));
+    let update = inline.initiate(&event("parity")).expect("someone online");
+    inline.run_rounds(horizon);
+    let report = inline.report(update);
     assert!(
-        threaded_report.crashes > 0 && threaded_report.byzantine > 0,
+        report.crashes > 0 && report.byzantine > 0,
         "the fault schedule never fired"
     );
-    let threaded_env = threaded_trace.environment();
-    let sharded_env = sharded_trace.environment();
+    let virtual_env = inline
+        .take_trace("parity")
+        .expect("virtual cluster was traced")
+        .environment();
     assert!(
-        !threaded_env.events.is_empty(),
+        !virtual_env.events.is_empty(),
         "environment sub-trace is empty"
     );
-    assert_eq!(
-        threaded_env.to_json(),
-        sharded_env.to_json(),
-        "environment sub-traces diverged:\n{}",
-        threaded_env
-            .diff(&sharded_env)
-            .unwrap_or_else(|| "(no first divergence found)".into())
-    );
+
+    for workers in [4, 256] {
+        let mut sharded = builder().workers(workers).sharded(paper(256));
+        let sharded_update = sharded.initiate(&event("parity")).expect("someone online");
+        assert_eq!(update, sharded_update);
+        sharded.run_rounds(horizon);
+        let (_, sharded_trace) = sharded.finish_traced(update, "parity");
+        let sharded_env = sharded_trace
+            .expect("sharded cluster was traced")
+            .environment();
+        assert_eq!(
+            virtual_env.to_json(),
+            sharded_env.to_json(),
+            "environment sub-traces diverged at {workers} workers:\n{}",
+            virtual_env
+                .diff(&sharded_env)
+                .unwrap_or_else(|| "(no first divergence found)".into())
+        );
+    }
 }
 
 #[test]
