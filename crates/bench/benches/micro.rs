@@ -9,6 +9,7 @@ use rumor_core::{
 };
 use rumor_net::{EffectSink, Node};
 use rumor_types::{DataKey, PeerId, Round};
+use rumor_wire::{decode_frame, encode_frame};
 
 fn rng() -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(1)
@@ -93,12 +94,12 @@ fn bench_message_codec(c: &mut Criterion) {
         push_round: 3,
         flood_list: PartialList::from_peers((0..100).map(PeerId::new)),
     });
-    let encoded = msg.encode();
+    let encoded = encode_frame(&msg);
     c.bench_function("message/encode_push_list100", |b| {
-        b.iter(|| std::hint::black_box(msg.encode()))
+        b.iter(|| std::hint::black_box(encode_frame(&msg)))
     });
     c.bench_function("message/decode_push_list100", |b| {
-        b.iter(|| std::hint::black_box(Message::decode(&encoded).expect("valid")))
+        b.iter(|| std::hint::black_box(decode_frame::<Message>(&encoded).expect("valid")))
     });
 }
 

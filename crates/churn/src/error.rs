@@ -13,13 +13,6 @@ pub enum ChurnError {
         /// The offending value.
         value: f64,
     },
-    /// A duration parameter was not strictly positive.
-    NonPositiveDuration {
-        /// Which parameter was invalid.
-        name: &'static str,
-        /// The offending value.
-        value: f64,
-    },
     /// A trace was empty or shaped inconsistently with the population.
     InvalidTrace {
         /// Human-readable reason.
@@ -32,9 +25,6 @@ impl fmt::Display for ChurnError {
         match self {
             Self::ProbabilityOutOfRange { name, value } => {
                 write!(f, "probability `{name}` must be in [0, 1], got {value}")
-            }
-            Self::NonPositiveDuration { name, value } => {
-                write!(f, "duration `{name}` must be positive, got {value}")
             }
             Self::InvalidTrace { reason } => write!(f, "invalid availability trace: {reason}"),
         }
@@ -51,14 +41,6 @@ pub(crate) fn check_probability(name: &'static str, value: f64) -> Result<f64, C
     }
 }
 
-pub(crate) fn check_positive(name: &'static str, value: f64) -> Result<f64, ChurnError> {
-    if value > 0.0 && value.is_finite() {
-        Ok(value)
-    } else {
-        Err(ChurnError::NonPositiveDuration { name, value })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,13 +52,6 @@ mod tests {
         assert!(check_probability("p", -0.1).is_err());
         assert!(check_probability("p", 1.1).is_err());
         assert!(check_probability("p", f64::NAN).is_err());
-    }
-
-    #[test]
-    fn positive_bounds() {
-        assert!(check_positive("d", 1.0).is_ok());
-        assert!(check_positive("d", 0.0).is_err());
-        assert!(check_positive("d", f64::INFINITY).is_err());
     }
 
     #[test]

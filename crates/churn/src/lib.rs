@@ -10,8 +10,6 @@
 //! * [`MarkovChurn`] — the two-state per-round chain used throughout the
 //!   paper's analysis (σ, `p_on`).
 //! * [`StaticChurn`] — no transitions; isolates protocol behaviour.
-//! * [`OnOffProcess`] — continuous-time on/off dwell times for the
-//!   event-driven engine.
 //! * [`TraceChurn`] — replay of a pre-generated availability trace
 //!   (synthetic stand-in for real traces, per `DESIGN.md` §4).
 //! * [`HeterogeneousChurn`] — §8's non-uniform availability: a reliable
@@ -40,7 +38,6 @@ mod error;
 mod heterogeneous;
 mod markov;
 mod online_set;
-mod onoff;
 mod poisson;
 mod trace;
 
@@ -49,7 +46,6 @@ pub use error::ChurnError;
 pub use heterogeneous::HeterogeneousChurn;
 pub use markov::{MarkovChurn, StaticChurn};
 pub use online_set::OnlineSet;
-pub use onoff::OnOffProcess;
 pub use poisson::sample_poisson;
 pub use trace::{AvailabilityTrace, TraceChurn};
 

@@ -120,28 +120,9 @@ pub(crate) struct ByzantineState<M> {
     turn: u64,
 }
 
-/// What a Byzantine member decided to do with one outgoing message.
-pub(crate) struct Tampered<M> {
-    /// The (possibly forged) message to encode, or an already-corrupted
-    /// frame to send as-is.
-    pub outgoing: TamperedFrame<M>,
-    /// An old frame to replay to the same target, on top of the send.
-    pub replay: Option<Bytes>,
-    /// Whether the member actually lied this turn (for accounting).
-    pub tampered: bool,
-}
-
-/// The outgoing half of a tampering decision.
-pub(crate) enum TamperedFrame<M> {
-    /// Encode and send this message (forged or original).
-    Message(M),
-    /// Send these bytes verbatim (a corrupted frame).
-    Raw(Bytes),
-}
-
 /// What a Byzantine member decided to do with one outgoing frame group
-/// — the wire-v2 flush unit, where all of a tick's messages to one peer
-/// leave as a single (batch) frame.
+/// — the cell's send unit: a lone message under wire v1, all of a tick's
+/// messages to one peer under v2.
 pub(crate) struct TamperedGroup {
     /// The frame to put on the wire (clean, forged or corrupted).
     pub frame: Bytes,
@@ -193,60 +174,14 @@ impl<M> ByzantineState<M> {
         self.memory.push_back(frame.clone());
     }
 
-    /// Decides what to do with one outgoing message. `encode` is called
-    /// at most once, on the message actually leaving (so stale-replay
+    /// Decides what to do with one outgoing frame group: one behaviour
+    /// draw per outgoing *frame*, not per message. A digest-lie turn
+    /// rewrites the group's messages in place before encoding; a
+    /// corrupt-frames turn damages the encoded frame once, so receivers
+    /// drop the whole group and count a single reject; a stale-replay
+    /// turn re-injects an entire remembered frame. `encode` is called
+    /// exactly once, on the clean (or forged) group (so stale-replay
     /// members can remember their own clean frames).
-    pub fn tamper(&mut self, msg: M, encode: impl Fn(&M) -> Bytes) -> Tampered<M> {
-        match self.next_behaviour() {
-            ByzantineBehaviour::DigestLie => match self.liar.and_then(|lie| lie(&msg)) {
-                Some(forged) => Tampered {
-                    outgoing: TamperedFrame::Message(forged),
-                    replay: None,
-                    tampered: true,
-                },
-                None => Tampered {
-                    outgoing: TamperedFrame::Message(msg),
-                    replay: None,
-                    tampered: false,
-                },
-            },
-            ByzantineBehaviour::CorruptFrames => {
-                let clean = encode(&msg);
-                let corruption =
-                    FrameCorruption::from_draws(self.rng.gen::<u32>(), self.rng.gen::<u32>());
-                Tampered {
-                    outgoing: TamperedFrame::Raw(corruption.apply(&clean)),
-                    replay: None,
-                    tampered: true,
-                }
-            }
-            ByzantineBehaviour::StaleReplay => {
-                let clean = encode(&msg);
-                self.remember(&clean);
-                let replay = if self.memory.len() > 1 {
-                    let pick = self.rng.gen_range(0..self.memory.len());
-                    Some(self.memory[pick].clone())
-                } else {
-                    None
-                };
-                Tampered {
-                    tampered: replay.is_some(),
-                    outgoing: TamperedFrame::Raw(clean),
-                    replay,
-                }
-            }
-            ByzantineBehaviour::Mixed => unreachable!("next_behaviour resolves Mixed"),
-        }
-    }
-
-    /// Frame-group analogue of [`ByzantineState::tamper`] for the
-    /// wire-v2 path: one behaviour draw per outgoing *frame*, not per
-    /// message. A digest-lie turn rewrites the group's messages in
-    /// place before encoding; a corrupt-frames turn damages the encoded
-    /// batch once, so receivers drop the whole group and count a single
-    /// reject; a stale-replay turn re-injects an entire remembered
-    /// frame. `encode` is called exactly once, on the clean (or forged)
-    /// group.
     pub fn tamper_group(
         &mut self,
         msgs: &mut [M],

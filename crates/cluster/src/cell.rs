@@ -8,7 +8,7 @@
 //! message crosses the node boundary as a `rumor-wire` frame, encoded at
 //! send and strictly decoded at delivery.
 
-use crate::byzantine::{ByzantineState, TamperedFrame};
+use crate::byzantine::{ByzantineState, TamperedGroup};
 use bytes::Bytes;
 use rand::Rng;
 use rand::SeedableRng;
@@ -224,11 +224,19 @@ where
         self.timers.len()
     }
 
-    /// Encodes and dispatches the sink's effects. Sends become envelopes
-    /// deliverable from `deliver_from`; a timer of delay `d` requested at
-    /// round `now` fires at `now + d`, floored at `timer_floor` (the next
-    /// scan that could observe it, preserving the engine's barrier
-    /// semantics).
+    /// Records one trace event for this cell (no-op when tracing is off).
+    fn trace(&mut self, round: u32, kind: EventKind) {
+        if let Some(t) = self.tracer.as_mut() {
+            t.record(round, self.id.as_u32(), kind);
+        }
+    }
+
+    /// Dispatches the sink's effects. A send becomes an envelope
+    /// deliverable from `deliver_from` — emitted on the spot as a group
+    /// of one under wire v1, staged for the end-of-tick per-peer flush
+    /// under v2; a timer of delay `d` requested at round `now` fires at
+    /// `now + d`, floored at `timer_floor` (the next scan that could
+    /// observe it, preserving the engine's barrier semantics).
     fn drain_effects(
         &mut self,
         now: u32,
@@ -236,90 +244,25 @@ where
         timer_floor: u32,
         dispatch: &mut dyn FnMut(PeerId, Envelope),
     ) {
-        for effect in self.sink.drain() {
+        let mut sink = std::mem::take(&mut self.sink);
+        for effect in sink.drain() {
             match effect {
-                Effect::Send { to, msg } => {
-                    if self.wire == WireVersion::V2 {
-                        // Staged; the end-of-tick flush groups per peer
-                        // and emits one (batch) frame per target.
-                        self.outbox.push((to, msg));
-                        continue;
-                    }
-                    let kind = match (&self.tracer, self.kinder) {
-                        (Some(_), Some(k)) => k(&msg),
-                        _ => MsgKind::Other,
-                    };
-                    let mut tampered = false;
-                    let (frame, replay) = match self.byz.as_mut() {
-                        None => (encode_frame(&msg), None),
-                        Some(byz) => {
-                            let decision = byz.tamper(msg, encode_frame);
-                            if decision.tampered {
-                                self.stats.tampered += 1;
-                                tampered = true;
-                            }
-                            let frame = match decision.outgoing {
-                                TamperedFrame::Message(m) => encode_frame(&m),
-                                TamperedFrame::Raw(raw) => raw,
-                            };
-                            (frame, decision.replay)
-                        }
-                    };
-                    self.stats.sent += 1;
-                    self.stats.messages_sent += 1;
-                    self.stats.bytes_sent += frame.len() as u64;
-                    if let Some(t) = self.tracer.as_mut() {
-                        if tampered {
-                            t.record(now, self.id.as_u32(), EventKind::Tamper);
-                        }
-                        t.record(
-                            now,
-                            self.id.as_u32(),
-                            EventKind::Send {
-                                to: to.as_u32(),
-                                kind,
-                                bytes: frame.len() as u32,
-                            },
-                        );
-                    }
-                    dispatch(
+                Effect::Send { to, msg } if self.wire == WireVersion::V2 => {
+                    self.outbox.push((to, msg));
+                }
+                Effect::Send { to, mut msg } => {
+                    self.emit(
                         to,
-                        Envelope {
-                            from: self.id,
-                            deliver_from,
-                            delay_resolved: false,
-                            frame,
-                        },
+                        std::slice::from_mut(&mut msg),
+                        now,
+                        deliver_from,
+                        dispatch,
                     );
-                    if let Some(stale) = replay {
-                        self.stats.sent += 1;
-                        self.stats.messages_sent += 1;
-                        self.stats.bytes_sent += stale.len() as u64;
-                        if let Some(t) = self.tracer.as_mut() {
-                            // A replayed frame's content is opaque.
-                            t.record(
-                                now,
-                                self.id.as_u32(),
-                                EventKind::Send {
-                                    to: to.as_u32(),
-                                    kind: MsgKind::Other,
-                                    bytes: stale.len() as u32,
-                                },
-                            );
-                        }
-                        dispatch(
-                            to,
-                            Envelope {
-                                from: self.id,
-                                deliver_from,
-                                delay_resolved: false,
-                                frame: stale,
-                            },
-                        );
-                    }
                 }
                 Effect::Timer { delay, tag } => {
-                    let fire = now.saturating_add(delay as u32).max(timer_floor);
+                    // A delay beyond the round counter's range never fires.
+                    let delay = u32::try_from(delay).unwrap_or(u32::MAX);
+                    let fire = now.saturating_add(delay).max(timer_floor);
                     self.timer_seq += 1;
                     self.timers.push(TimerEntry {
                         fire,
@@ -329,14 +272,13 @@ where
                 }
             }
         }
+        self.sink = sink;
     }
 
     /// Flushes the wire-v2 outbox: staged sends are grouped per target
     /// peer (first-send order; a linear scan, not a hash, so iteration
-    /// stays deterministic), each group leaves as one frame — a plain
-    /// frame for a lone message, a batch frame for two or more — and
-    /// the Byzantine layer tampers per *frame*, not per message. No-op
-    /// under wire v1, whose sends never stage.
+    /// stays deterministic) and each group leaves through
+    /// [`Self::emit`]. No-op under wire v1, whose sends never stage.
     fn flush_outbox(
         &mut self,
         now: u32,
@@ -355,42 +297,57 @@ where
             }
         }
         for (to, mut msgs) in groups {
-            let count = msgs.len() as u64;
-            // A lone message keeps its kind; a batch frame is stamped
-            // `Other` (it carries many kinds at once).
-            let kind = match (&self.tracer, self.kinder, &msgs[..]) {
-                (Some(_), Some(k), [single]) => k(single),
-                _ => MsgKind::Other,
-            };
-            let mut tampered = false;
-            let (frame, replay) = match self.byz.as_mut() {
-                None => (encode_group(&msgs), None),
-                Some(byz) => {
-                    let decision = byz.tamper_group(&mut msgs, encode_group);
-                    if decision.tampered {
-                        self.stats.tampered += 1;
-                        tampered = true;
-                    }
-                    (decision.frame, decision.replay)
-                }
-            };
+            self.emit(to, &mut msgs, now, deliver_from, dispatch);
+        }
+    }
+
+    /// The one send site: puts the group `msgs` bound for `to` on the
+    /// wire as a single frame (see [`encode_group`]). Wire v1 is the
+    /// group of one. The Byzantine layer tampers per *frame*, and a
+    /// stale-replay turn adds a second, remembered frame to the same
+    /// target.
+    fn emit(
+        &mut self,
+        to: PeerId,
+        msgs: &mut [N::Msg],
+        now: u32,
+        deliver_from: u32,
+        dispatch: &mut dyn FnMut(PeerId, Envelope),
+    ) {
+        // A lone message keeps its kind; a batch frame is stamped
+        // `Other` (it carries many kinds at once).
+        let kind = match (&self.tracer, self.kinder, &*msgs) {
+            (Some(_), Some(k), [single]) => k(single),
+            _ => MsgKind::Other,
+        };
+        let group = match self.byz.as_mut() {
+            None => TamperedGroup {
+                frame: encode_group(msgs),
+                replay: None,
+                tampered: false,
+            },
+            Some(byz) => byz.tamper_group(msgs, encode_group),
+        };
+        if group.tampered {
+            self.stats.tampered += 1;
+            self.trace(now, EventKind::Tamper);
+        }
+        // A replayed frame's content is opaque: one frame, counted as
+        // one logical message of kind `Other`.
+        let fresh = (group.frame, kind, msgs.len() as u64);
+        let stale = group.replay.map(|frame| (frame, MsgKind::Other, 1));
+        for (frame, kind, messages) in std::iter::once(fresh).chain(stale) {
             self.stats.sent += 1;
-            self.stats.messages_sent += count;
+            self.stats.messages_sent += messages;
             self.stats.bytes_sent += frame.len() as u64;
-            if let Some(t) = self.tracer.as_mut() {
-                if tampered {
-                    t.record(now, self.id.as_u32(), EventKind::Tamper);
-                }
-                t.record(
-                    now,
-                    self.id.as_u32(),
-                    EventKind::Send {
-                        to: to.as_u32(),
-                        kind,
-                        bytes: frame.len() as u32,
-                    },
-                );
-            }
+            self.trace(
+                now,
+                EventKind::Send {
+                    to: to.as_u32(),
+                    kind,
+                    bytes: frame.len() as u32,
+                },
+            );
             dispatch(
                 to,
                 Envelope {
@@ -400,33 +357,6 @@ where
                     frame,
                 },
             );
-            if let Some(stale) = replay {
-                // A replayed frame's content is opaque here: one frame,
-                // counted as one logical message.
-                self.stats.sent += 1;
-                self.stats.messages_sent += 1;
-                self.stats.bytes_sent += stale.len() as u64;
-                if let Some(t) = self.tracer.as_mut() {
-                    t.record(
-                        now,
-                        self.id.as_u32(),
-                        EventKind::Send {
-                            to: to.as_u32(),
-                            kind: MsgKind::Other,
-                            bytes: stale.len() as u32,
-                        },
-                    );
-                }
-                dispatch(
-                    to,
-                    Envelope {
-                        from: self.id,
-                        deliver_from,
-                        delay_resolved: false,
-                        frame: stale,
-                    },
-                );
-            }
         }
     }
 
@@ -447,8 +377,8 @@ where
 
     /// Executes one tick of round `round` with availability `online`:
     /// status change, round start, due timers, then delivery of eligible
-    /// inbox frames (decode → link filter → `on_message`). Sends produced
-    /// during the tick are deliverable from `round + 1`.
+    /// inbox frames ([`Self::deliver`]). Sends produced during the tick
+    /// are deliverable from `round + 1`.
     ///
     /// A crashed node simply misses its ticks; frames that came
     /// deliverable during the gap (`deliver_from < round`) are dropped as
@@ -496,9 +426,7 @@ where
         }
         for &(fire, tag) in &due {
             if online && fire == round {
-                if let Some(t) = self.tracer.as_mut() {
-                    t.record(round, self.id.as_u32(), EventKind::TimerFire { tag });
-                }
+                self.trace(round, EventKind::TimerFire { tag });
                 self.node.on_timer(tag, r, &mut self.rng, &mut self.sink);
                 self.drain_effects(round, round + 1, round + 1, dispatch);
             }
@@ -513,23 +441,11 @@ where
                 retained.push(env);
                 continue;
             }
-            if env.deliver_from < round {
-                // Stale: became deliverable during a crash gap. Checked
-                // before the delay draw so a gap frame is never
-                // resurrected into a later round by the delay model.
-                self.stats.lost_offline += 1;
-                if let Some(t) = self.tracer.as_mut() {
-                    t.record(
-                        round,
-                        self.id.as_u32(),
-                        EventKind::DropOffline {
-                            from: env.from.as_u32(),
-                        },
-                    );
-                }
-                continue;
-            }
-            if !env.delay_resolved {
+            // A frame older than this round became deliverable during a
+            // crash gap. Checked before the delay draw so a gap frame is
+            // never resurrected into a later round by the delay model.
+            let stale = env.deliver_from < round;
+            if !stale && !env.delay_resolved {
                 env.delay_resolved = true;
                 if self.delay.max_extra_rounds > 0 {
                     let extra = self.link_rng.gen_range(0..self.delay.max_extra_rounds + 1);
@@ -540,135 +456,88 @@ where
                     }
                 }
             }
-            if !online {
+            if stale || !online {
                 self.stats.lost_offline += 1;
-                if let Some(t) = self.tracer.as_mut() {
-                    t.record(
-                        round,
-                        self.id.as_u32(),
-                        EventKind::DropOffline {
-                            from: env.from.as_u32(),
-                        },
-                    );
-                }
+                let from = env.from.as_u32();
+                self.trace(round, EventKind::DropOffline { from });
                 continue;
             }
-            match self.wire {
-                WireVersion::V1 => {
-                    if !filter.allows(env.from, self.id, r, &mut self.link_rng) {
-                        self.stats.lost_fault += 1;
-                        if let Some(t) = self.tracer.as_mut() {
-                            t.record(
-                                round,
-                                self.id.as_u32(),
-                                EventKind::DropLoss {
-                                    from: env.from.as_u32(),
-                                },
-                            );
-                        }
-                        continue;
-                    }
-                    match decode_frame::<N::Msg>(&env.frame) {
-                        Err(WireError::BadVersion { .. }) => self.stats.version_mismatches += 1,
-                        Err(_) => self.stats.decode_errors += 1,
-                        Ok(msg) => {
-                            self.stats.delivered += 1;
-                            self.stats.messages_delivered += 1;
-                            self.stats.bytes_delivered += env.frame.len() as u64;
-                            if let Some(byz) = self.byz.as_mut() {
-                                if byz.replays() {
-                                    byz.remember(&env.frame);
-                                }
-                            }
-                            if self.tracer.is_some() {
-                                let kind = self.kinder.map_or(MsgKind::Other, |k| k(&msg));
-                                if let Some(t) = self.tracer.as_mut() {
-                                    t.record(
-                                        round,
-                                        self.id.as_u32(),
-                                        EventKind::Deliver {
-                                            from: env.from.as_u32(),
-                                            kind,
-                                        },
-                                    );
-                                }
-                            }
-                            self.node
-                                .on_message(env.from, msg, r, &mut self.rng, &mut self.sink);
-                            self.drain_effects(round, round + 1, round + 1, dispatch);
-                        }
-                    }
-                }
-                WireVersion::V2 => {
-                    // Decode the whole frame first — a corrupted batch
-                    // drops whole and counts once — then draw the link
-                    // filter per logical message in send order,
-                    // mirroring v1's one draw per single-message frame
-                    // so zero-delay link-RNG trajectories stay aligned.
-                    let mut msgs = std::mem::take(&mut self.decode_scratch);
-                    msgs.clear();
-                    match decode_frame_v2::<N::Msg>(&env.frame, &mut msgs) {
-                        Err(WireError::BadVersion { .. }) => self.stats.version_mismatches += 1,
-                        Err(_) => self.stats.decode_errors += 1,
-                        Ok(()) => {
-                            if let Some(byz) = self.byz.as_mut() {
-                                if byz.replays() {
-                                    byz.remember(&env.frame);
-                                }
-                            }
-                            let mut survivors = 0u64;
-                            for msg in msgs.drain(..) {
-                                if !filter.allows(env.from, self.id, r, &mut self.link_rng) {
-                                    continue;
-                                }
-                                survivors += 1;
-                                if self.tracer.is_some() {
-                                    let kind = self.kinder.map_or(MsgKind::Other, |k| k(&msg));
-                                    if let Some(t) = self.tracer.as_mut() {
-                                        t.record(
-                                            round,
-                                            self.id.as_u32(),
-                                            EventKind::Deliver {
-                                                from: env.from.as_u32(),
-                                                kind,
-                                            },
-                                        );
-                                    }
-                                }
-                                self.node.on_message(
-                                    env.from,
-                                    msg,
-                                    r,
-                                    &mut self.rng,
-                                    &mut self.sink,
-                                );
-                                self.drain_effects(round, round + 1, round + 1, dispatch);
-                            }
-                            self.stats.messages_delivered += survivors;
-                            if survivors > 0 {
-                                self.stats.delivered += 1;
-                                self.stats.bytes_delivered += env.frame.len() as u64;
-                            } else {
-                                self.stats.lost_fault += 1;
-                                if let Some(t) = self.tracer.as_mut() {
-                                    t.record(
-                                        round,
-                                        self.id.as_u32(),
-                                        EventKind::DropLoss {
-                                            from: env.from.as_u32(),
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    self.decode_scratch = msgs;
-                }
-            }
+            self.deliver(&env, round, filter, dispatch);
         }
         self.inbox.extend(retained.drain(..));
         self.retained_scratch = retained;
         self.flush_outbox(round, round + 1, dispatch);
+    }
+
+    /// The one delivery site: decodes a frame that reached this online
+    /// cell in its round and hands every message the link filter lets
+    /// through to the node. The wire version only picks the decoder and
+    /// where the filter draws: v1 draws once per frame *before*
+    /// decoding; v2 decodes the whole frame first — a corrupted batch
+    /// drops whole and counts once — then draws once per logical message
+    /// in send order, mirroring v1's one draw per single-message frame
+    /// so zero-delay link-RNG trajectories stay aligned.
+    fn deliver(
+        &mut self,
+        env: &Envelope,
+        round: u32,
+        filter: &dyn LinkFilter,
+        dispatch: &mut dyn FnMut(PeerId, Envelope),
+    ) {
+        let r = Round::new(round);
+        let draw_per_frame = self.wire == WireVersion::V1;
+        if draw_per_frame && !filter.allows(env.from, self.id, r, &mut self.link_rng) {
+            self.lose(round, env.from);
+            return;
+        }
+        let mut msgs = std::mem::take(&mut self.decode_scratch);
+        msgs.clear();
+        let decoded = if draw_per_frame {
+            decode_frame(&env.frame).map(|msg| msgs.push(msg))
+        } else {
+            decode_frame_v2(&env.frame, &mut msgs)
+        };
+        match decoded {
+            Err(WireError::BadVersion { .. }) => self.stats.version_mismatches += 1,
+            Err(_) => self.stats.decode_errors += 1,
+            Ok(()) => {
+                if let Some(byz) = self.byz.as_mut() {
+                    if byz.replays() {
+                        byz.remember(&env.frame);
+                    }
+                }
+                let mut survivors = 0u64;
+                for msg in msgs.drain(..) {
+                    if !draw_per_frame && !filter.allows(env.from, self.id, r, &mut self.link_rng) {
+                        continue;
+                    }
+                    survivors += 1;
+                    if self.tracer.is_some() {
+                        let from = env.from.as_u32();
+                        let kind = self.kinder.map_or(MsgKind::Other, |k| k(&msg));
+                        self.trace(round, EventKind::Deliver { from, kind });
+                    }
+                    self.node
+                        .on_message(env.from, msg, r, &mut self.rng, &mut self.sink);
+                    self.drain_effects(round, round + 1, round + 1, dispatch);
+                }
+                self.stats.messages_delivered += survivors;
+                if survivors > 0 {
+                    self.stats.delivered += 1;
+                    self.stats.bytes_delivered += env.frame.len() as u64;
+                } else {
+                    self.lose(round, env.from);
+                }
+            }
+        }
+        self.decode_scratch = msgs;
+    }
+
+    /// Counts a frame the link filter dropped.
+    fn lose(&mut self, round: u32, from: PeerId) {
+        self.stats.lost_fault += 1;
+        let from = from.as_u32();
+        self.trace(round, EventKind::DropLoss { from });
     }
 }
 
@@ -837,6 +706,25 @@ mod tests {
     }
 
     #[test]
+    fn timer_delays_beyond_the_round_range_saturate_instead_of_wrapping() {
+        // Regression: `delay as u32` wrapped 2^32 to 0, firing at once.
+        let mut c = cell(0);
+        let mut drop_dispatch = |_: PeerId, _: Envelope| {};
+        for (tag, delay) in [(1, 1u64 << 32), (2, u64::MAX)] {
+            c.initiate(
+                0,
+                |_node, _rng, sink| sink.timer(delay, tag),
+                &mut drop_dispatch,
+            );
+        }
+        for round in 0..8 {
+            c.tick(round, true, &PerfectLinks, &mut drop_dispatch);
+        }
+        assert!(c.node.timers.is_empty(), "never fires within the run");
+        assert_eq!(c.pending_timers(), 2, "both timers stay armed");
+    }
+
+    #[test]
     fn stale_frames_after_a_crash_gap_count_as_offline_losses() {
         let mut c = cell(0);
         let mut drop_dispatch = |_: PeerId, _: Envelope| {};
@@ -986,79 +874,158 @@ mod tests {
 
     use crate::byzantine::{ByzantineBehaviour, ByzantineState};
 
+    const BOTH_WIRES: [WireVersion; 2] = [WireVersion::V1, WireVersion::V2];
+
+    /// A Byzantine echo cell speaking `wire`: a lone send is a group of
+    /// one on both versions, so each behaviour has one expectation.
+    fn byzantine_cell(
+        wire: WireVersion,
+        behaviour: ByzantineBehaviour,
+        seed: u64,
+        liar: Option<rumor_sim::MsgTamper<Num>>,
+    ) -> NodeCell<Echo> {
+        let mut c = cell(0);
+        c.set_wire(wire);
+        c.set_byzantine(ByzantineState::new(behaviour, seed, liar));
+        c
+    }
+
     #[test]
     fn digest_liar_rewrites_outgoing_messages() {
-        let mut c = cell(0);
         let liar: rumor_sim::MsgTamper<Num> = |msg| match msg {
             Num(0) => None,
             Num(_) => Some(Num(0)),
         };
-        c.set_byzantine(ByzantineState::new(
-            ByzantineBehaviour::DigestLie,
-            9,
-            Some(liar),
-        ));
-        let mut out = Vec::new();
-        c.initiate(
-            0,
-            |_node, _rng, sink| sink.send(PeerId::new(1), Num(7)),
-            &mut |to, env| out.push((to, env)),
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(decode_frame::<Num>(&out[0].1.frame).unwrap(), Num(0));
-        assert_eq!(c.stats.tampered, 1);
+        for wire in BOTH_WIRES {
+            let mut c = byzantine_cell(wire, ByzantineBehaviour::DigestLie, 9, Some(liar));
+            let mut out = Vec::new();
+            c.initiate(
+                0,
+                |_node, _rng, sink| sink.send(PeerId::new(1), Num(7)),
+                &mut |to, env| out.push((to, env)),
+            );
+            assert_eq!(out.len(), 1, "{wire:?}");
+            assert_eq!(decode_frame::<Num>(&out[0].1.frame).unwrap(), Num(0));
+            assert_eq!(c.stats.tampered, 1, "{wire:?}");
+        }
     }
 
     #[test]
     fn corrupt_frames_member_emits_undecodable_frames() {
-        let mut c = cell(0);
-        c.set_byzantine(ByzantineState::new(
-            ByzantineBehaviour::CorruptFrames,
-            5,
-            None,
-        ));
-        let mut out = Vec::new();
-        c.initiate(
-            0,
-            |_node, _rng, sink| sink.send(PeerId::new(1), Num(3)),
-            &mut |to, env| out.push((to, env)),
-        );
-        assert_eq!(out.len(), 1);
-        assert!(decode_frame::<Num>(&out[0].1.frame).is_err());
-        assert_eq!(c.stats.tampered, 1);
-        assert_eq!(c.stats.sent, 1);
-        assert_eq!(c.stats.bytes_sent, out[0].1.frame.len() as u64);
+        for wire in BOTH_WIRES {
+            let mut c = byzantine_cell(wire, ByzantineBehaviour::CorruptFrames, 5, None);
+            let mut out = Vec::new();
+            c.initiate(
+                0,
+                |_node, _rng, sink| sink.send(PeerId::new(1), Num(3)),
+                &mut |to, env| out.push((to, env)),
+            );
+            assert_eq!(out.len(), 1, "{wire:?}");
+            assert!(decode_frame::<Num>(&out[0].1.frame).is_err(), "{wire:?}");
+            assert_eq!(c.stats.tampered, 1);
+            assert_eq!(c.stats.sent, 1);
+            assert_eq!(c.stats.bytes_sent, out[0].1.frame.len() as u64);
+        }
     }
 
     #[test]
     fn stale_replay_member_reinjects_remembered_frames() {
-        let mut c = cell(0);
-        c.set_byzantine(ByzantineState::new(
-            ByzantineBehaviour::StaleReplay,
-            11,
-            None,
-        ));
-        let mut out = Vec::new();
-        c.initiate(
-            0,
-            |_node, _rng, sink| sink.send(PeerId::new(1), Num(1)),
-            &mut |to, env| out.push((to, env)),
-        );
-        assert_eq!(out.len(), 1, "nothing to replay yet");
-        assert_eq!(c.stats.tampered, 0);
-        c.initiate(
-            1,
-            |_node, _rng, sink| sink.send(PeerId::new(2), Num(2)),
-            &mut |to, env| out.push((to, env)),
-        );
-        assert_eq!(out.len(), 3, "second send carries a stale replay");
-        assert_eq!(c.stats.tampered, 1);
-        assert_eq!(c.stats.sent, 3, "replays count as sends");
-        let replayed = decode_frame::<Num>(&out[2].1.frame).unwrap();
-        assert!(
-            replayed == Num(1) || replayed == Num(2),
-            "replay is a real old frame"
-        );
+        for wire in BOTH_WIRES {
+            let mut c = byzantine_cell(wire, ByzantineBehaviour::StaleReplay, 11, None);
+            let mut out = Vec::new();
+            c.initiate(
+                0,
+                |_node, _rng, sink| sink.send(PeerId::new(1), Num(1)),
+                &mut |to, env| out.push((to, env)),
+            );
+            assert_eq!(out.len(), 1, "{wire:?}: nothing to replay yet");
+            assert_eq!(c.stats.tampered, 0);
+            c.initiate(
+                1,
+                |_node, _rng, sink| sink.send(PeerId::new(2), Num(2)),
+                &mut |to, env| out.push((to, env)),
+            );
+            assert_eq!(out.len(), 3, "{wire:?}: second send carries a stale replay");
+            assert_eq!(c.stats.tampered, 1);
+            assert_eq!(c.stats.sent, 3, "replays count as sends");
+            assert_eq!(c.stats.messages_sent, 3, "a replay is one opaque message");
+            let replayed = decode_frame::<Num>(&out[2].1.frame).unwrap();
+            assert!(
+                replayed == Num(1) || replayed == Num(2),
+                "replay is a real old frame"
+            );
+        }
+    }
+
+    #[test]
+    fn replaying_member_remembers_delivered_frames_too() {
+        for wire in BOTH_WIRES {
+            let mut c = byzantine_cell(wire, ByzantineBehaviour::StaleReplay, 13, None);
+            c.inbox.push_back(envelope(1, 1, 0));
+            c.tick(1, true, &PerfectLinks, &mut |_, _| {});
+            assert_eq!(c.stats.delivered, 1, "{wire:?}");
+            let mut out = Vec::new();
+            c.initiate(
+                1,
+                |_node, _rng, sink| sink.send(PeerId::new(2), Num(4)),
+                &mut |to, env| out.push((to, env)),
+            );
+            assert_eq!(
+                out.len(),
+                2,
+                "{wire:?}: first send already has ammunition to replay"
+            );
+            assert_eq!(c.stats.tampered, 1);
+        }
+    }
+
+    /// Link filter answering `allow` after one draw from the link stream.
+    struct DrawThen {
+        allow: bool,
+    }
+
+    impl LinkFilter for DrawThen {
+        fn allows(&self, _: PeerId, _: PeerId, _: Round, rng: &mut ChaCha8Rng) -> bool {
+            let _ = rng.gen::<u32>();
+            self.allow
+        }
+    }
+
+    #[test]
+    fn an_undecodable_frame_costs_one_link_draw_under_v1_and_none_under_v2() {
+        // The one ordering the shared delivery path must keep: v1 draws
+        // the link filter per frame *before* decoding, v2 per decoded
+        // message — so garbage burns a draw (and can be lost to the
+        // link) only under v1.
+        // (wire, filter allows, draws, lost_fault, decode_errors)
+        let table = [
+            (WireVersion::V1, false, 1, 1, 0),
+            (WireVersion::V1, true, 1, 0, 1),
+            (WireVersion::V2, false, 0, 0, 1),
+            (WireVersion::V2, true, 0, 0, 1),
+        ];
+        for (wire, allow, draws, lost_fault, decode_errors) in table {
+            let mut c = cell(0);
+            c.set_wire(wire);
+            let mut env = envelope(1, 1, 0);
+            // Valid v1 header, unknown kind.
+            env.frame = Bytes::copy_from_slice(&[1, 0xEE, 0, 0, 0, 0]);
+            c.inbox.push_back(env);
+            c.tick(1, true, &DrawThen { allow }, &mut |_, _| {});
+            let case = format!("{wire:?}, filter allows = {allow}");
+            assert_eq!(c.stats.lost_fault, lost_fault, "{case}");
+            assert_eq!(c.stats.decode_errors, decode_errors, "{case}");
+            assert_eq!(c.stats.consumed(), 1, "{case}");
+            let mut expected = ChaCha8Rng::seed_from_u64(100);
+            for _ in 0..draws {
+                let _ = expected.gen::<u32>();
+            }
+            assert_eq!(
+                c.link_rng.gen::<u64>(),
+                expected.gen::<u64>(),
+                "{case}: link stream position"
+            );
+        }
     }
 
     /// Fan-out node: on round start, sends `copies` messages to peer 1
@@ -1220,26 +1187,5 @@ mod tests {
                 "corrupted group frame must not decode"
             );
         }
-    }
-
-    #[test]
-    fn replaying_member_remembers_delivered_frames_too() {
-        let mut c = cell(0);
-        c.set_byzantine(ByzantineState::new(
-            ByzantineBehaviour::StaleReplay,
-            13,
-            None,
-        ));
-        c.inbox.push_back(envelope(1, 1, 0));
-        c.tick(1, true, &PerfectLinks, &mut |_, _| {});
-        assert_eq!(c.stats.delivered, 1);
-        let mut out = Vec::new();
-        c.initiate(
-            1,
-            |_node, _rng, sink| sink.send(PeerId::new(2), Num(4)),
-            &mut |to, env| out.push((to, env)),
-        );
-        assert_eq!(out.len(), 2, "first send already has ammunition to replay");
-        assert_eq!(c.stats.tampered, 1);
     }
 }

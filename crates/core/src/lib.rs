@@ -26,8 +26,8 @@
 //! every input writes its [`rumor_net::Effect`]s into a reusable
 //! [`rumor_net::EffectSink`], so the same code runs — without allocating
 //! on the hot path — under the synchronous round engine (the paper's
-//! analysis model), the asynchronous event engine, or any real transport
-//! a downstream user wires up.
+//! analysis model), the live cluster runtime, or any real transport a
+//! downstream user wires up.
 //!
 //! # Examples
 //!

@@ -3,11 +3,12 @@
 //! The paper's message-length analysis (§4.2) is exact:
 //! `L_M(t) = |U| + R · δ · l(t)` — the update payload plus one entry of
 //! `δ` bytes per partial-list member. The wire codec here makes those
-//! sizes measurable rather than assumed: [`Message::encoded_len`] is the
-//! byte count the length experiments report, and encode/decode round-trips
-//! are tested for every variant. Our `δ` is [`REPLICA_ENTRY_BYTES`]
-//! (4-byte peer ids; the paper's example uses 10 bytes per replica —
-//! a constant factor that cancels in all normalised plots).
+//! sizes measurable rather than assumed: [`rumor_wire::frame_len`] of a
+//! message is the byte count the length experiments report, and framed
+//! encode/decode round-trips are tested for every variant. Our `δ` is
+//! [`REPLICA_ENTRY_BYTES`] (4-byte peer ids; the paper's example uses 10
+//! bytes per replica — a constant factor that cancels in all normalised
+//! plots).
 
 use crate::digest::StoreDigest;
 use crate::error::CoreError;
@@ -96,13 +97,8 @@ impl Message {
         }
     }
 
-    /// Exact size of [`Message::encode`]'s output, computed without
-    /// allocating.
-    pub fn encoded_len(&self) -> usize {
-        1 + self.body_len()
-    }
-
-    /// Body size without the leading tag byte (the framed payload size).
+    /// Exact size of [`Message::put_body`]'s output (the framed payload
+    /// size), computed without allocating.
     fn body_len(&self) -> usize {
         match self {
             Self::Push(p) => {
@@ -123,8 +119,8 @@ impl Message {
         }
     }
 
-    /// Writes the tag-less body — shared by the legacy inline-tag format
-    /// and the framed codec (where the tag travels in the frame header).
+    /// Writes the tag-less body: the framed payload (the tag travels in
+    /// the frame header's kind byte).
     fn put_body(&self, buf: &mut BytesMut) {
         match self {
             Self::Push(p) => {
@@ -225,39 +221,12 @@ impl Message {
             other => return Err(CoreError::decode(format!("unknown message tag {other}"))),
         })
     }
-
-    /// Serialises the message.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        buf.put_u8(self.tag());
-        self.put_body(&mut buf);
-        buf.freeze()
-    }
-
-    /// Deserialises a message.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Decode`] on truncated input, an unknown tag,
-    /// or trailing bytes.
-    pub fn decode(mut bytes: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut bytes;
-        let tag = take_u8(buf)?;
-        let msg = Self::take_body(tag, buf, None)?;
-        if !buf.is_empty() {
-            return Err(CoreError::decode(format!(
-                "{} trailing bytes after message",
-                buf.len()
-            )));
-        }
-        Ok(msg)
-    }
 }
 
 /// Framed codec: the variant tag becomes the frame kind, the tag-less
-/// body the payload, so a framed push costs
-/// [`FRAME_HEADER_BYTES`](rumor_wire::FRAME_HEADER_BYTES)` +
-/// encoded_len() − 1` bytes on the wire.
+/// body the payload, so a framed message costs
+/// [`FRAME_HEADER_BYTES`](rumor_wire::FRAME_HEADER_BYTES) plus its body
+/// on the wire.
 impl rumor_wire::Encode for Message {
     fn kind(&self) -> u8 {
         self.tag()
@@ -364,7 +333,7 @@ fn take_update(buf: &mut &[u8], source: Option<&Bytes>) -> Result<Update, CoreEr
             }
             // Zero-copy hot path: view the value out of the receive
             // buffer; fall back to an owned copy when no buffer backs
-            // the slice (legacy inline decode).
+            // the slice (`decode_frame` over a borrowed `&[u8]`).
             let value = match source {
                 Some(src) => Value::new(src.slice_ref(&buf[..len])),
                 None => Value::from(buf[..len].to_vec()),
@@ -398,6 +367,10 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use rumor_wire::{
+        decode_frame, decode_frame_v2, encode_frame, frame_len, Frame, WireError,
+        FRAME_HEADER_BYTES, WIRE_VERSION_V2,
+    };
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(7)
@@ -420,22 +393,42 @@ mod tests {
         })
     }
 
+    /// Frames `m`, checks the sizer against the real frame, and decodes
+    /// it back: through the v2 decoder (which reads both versions' kinds,
+    /// zero-copy) and, for a v1 kind, through the v1 slice decoder too.
+    fn framed_roundtrip(m: &Message) {
+        let frame = encode_frame(m);
+        assert_eq!(frame.len(), frame_len(m), "{m:?}");
+        assert_eq!(frame[1], m.tag(), "kind byte is the variant tag");
+        let mut out = Vec::new();
+        decode_frame_v2::<Message>(&frame, &mut out).unwrap();
+        assert_eq!(out, std::slice::from_ref(m));
+        if frame[0] != WIRE_VERSION_V2 {
+            assert_eq!(&decode_frame::<Message>(&frame).unwrap(), m);
+        }
+    }
+
+    /// A hand-built v1 frame around `payload`.
+    fn raw_frame(kind: u8, payload: &[u8]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        Frame::new(kind, payload.len()).put(&mut buf);
+        buf.put_slice(payload);
+        buf
+    }
+
     #[test]
     fn push_roundtrip() {
-        let m = sample_push(&mut rng());
-        let decoded = Message::decode(&m.encode()).unwrap();
-        assert_eq!(decoded, m);
+        framed_roundtrip(&sample_push(&mut rng()));
     }
 
     #[test]
     fn tombstone_roundtrip() {
         let mut r = rng();
-        let m = Message::Push(PushMessage {
+        framed_roundtrip(&Message::Push(PushMessage {
             update: Update::tombstone(DataKey::new(1), Lineage::root(&mut r), PeerId::new(0)),
             push_round: 0,
             flood_list: PartialList::new(),
-        });
-        assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+        }));
     }
 
     #[test]
@@ -444,25 +437,37 @@ mod tests {
         digest.insert(DataKey::new(1), VersionId::from_bits(7));
         digest.insert(DataKey::new(1), VersionId::from_bits(9));
         digest.insert(DataKey::new(2), VersionId::from_bits(3));
-        let m = Message::PullRequest { digest };
-        assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+        framed_roundtrip(&Message::PullRequest { digest });
     }
 
     #[test]
     fn pull_response_roundtrip() {
         let mut r = rng();
-        let m = Message::PullResponse {
+        framed_roundtrip(&Message::PullResponse {
             updates: vec![sample_update(&mut r), sample_update(&mut r)],
-        };
-        assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+        });
     }
 
     #[test]
     fn ack_roundtrip() {
-        let m = Message::Ack {
+        framed_roundtrip(&Message::Ack {
             update_id: UpdateId::from_bits(123456789),
-        };
-        assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+        });
+    }
+
+    #[test]
+    fn pull_since_and_delta_roundtrip() {
+        let mut r = rng();
+        for m in [
+            Message::PullSince { since: 0 },
+            Message::PullSince { since: u64::MAX },
+            Message::DeltaResponse {
+                upto: 9,
+                updates: vec![sample_update(&mut r), sample_update(&mut r)],
+            },
+        ] {
+            framed_roundtrip(&m);
+        }
     }
 
     #[test]
@@ -491,7 +496,8 @@ mod tests {
             },
         ];
         for m in messages {
-            assert_eq!(m.encoded_len(), m.encode().len(), "{m:?}");
+            assert_eq!(frame_len(&m), encode_frame(&m).len(), "{m:?}");
+            assert_eq!(frame_len(&m), FRAME_HEADER_BYTES + m.body_len(), "{m:?}");
         }
     }
 
@@ -501,29 +507,21 @@ mod tests {
         let mut r = rng();
         let update = sample_update(&mut r);
         let len_with = |n: u32| {
-            Message::Push(PushMessage {
+            frame_len(&Message::Push(PushMessage {
                 update: update.clone(),
                 push_round: 1,
                 flood_list: PartialList::from_peers((0..n).map(PeerId::new)),
-            })
-            .encoded_len()
+            }))
         };
         assert_eq!(len_with(10) - len_with(0), 10 * REPLICA_ENTRY_BYTES);
     }
 
     #[test]
-    fn decode_rejects_unknown_tag() {
-        let err = Message::decode(&[99]).unwrap_err();
-        assert!(matches!(err, CoreError::Decode { .. }));
-    }
-
-    #[test]
     fn decode_rejects_truncation() {
-        let m = sample_push(&mut rng());
-        let bytes = m.encode();
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
+        let bytes = encode_frame(&sample_push(&mut rng()));
+        for cut in [0, 1, FRAME_HEADER_BYTES, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                Message::decode(&bytes[..cut]).is_err(),
+                decode_frame::<Message>(&bytes[..cut]).is_err(),
                 "cut at {cut} must fail"
             );
         }
@@ -534,42 +532,24 @@ mod tests {
         let m = Message::Ack {
             update_id: UpdateId::from_bits(1),
         };
-        let mut bytes = m.encode().to_vec();
+        // Past the frame: the header's declared length no longer matches.
+        let mut bytes = encode_frame(&m).to_vec();
         bytes.push(0);
-        assert!(Message::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn framed_roundtrip_matches_inline_format() {
-        use rumor_wire::{decode_frame, encode_frame, frame_len, FRAME_HEADER_BYTES};
-        let mut r = rng();
-        let mut digest = StoreDigest::new();
-        digest.insert(DataKey::new(5), VersionId::from_bits(1));
-        let messages = vec![
-            sample_push(&mut r),
-            Message::PullRequest { digest },
-            Message::PullResponse {
-                updates: vec![sample_update(&mut r)],
-            },
-            Message::Ack {
-                update_id: UpdateId::from_bits(5),
-            },
-        ];
-        for m in messages {
-            let frame = encode_frame(&m);
-            assert_eq!(frame.len(), frame_len(&m));
-            // Frame = header + the inline format minus its leading tag
-            // (the tag rides in the header's kind byte).
-            assert_eq!(frame_len(&m), FRAME_HEADER_BYTES + m.encoded_len() - 1);
-            assert_eq!(frame[1], m.encode()[0], "kind byte equals inline tag");
-            assert_eq!(&frame[FRAME_HEADER_BYTES..], &m.encode()[1..]);
-            assert_eq!(decode_frame::<Message>(&frame).unwrap(), m, "{m:?}");
-        }
+        assert!(matches!(
+            decode_frame::<Message>(&bytes),
+            Err(WireError::LengthMismatch { .. })
+        ));
+        // Inside the frame: a consistent header around an over-long body.
+        let mut payload = bytes[FRAME_HEADER_BYTES..].to_vec();
+        payload.push(0);
+        assert_eq!(
+            decode_frame::<Message>(&raw_frame(TAG_ACK, &payload)),
+            Err(WireError::TrailingBytes { count: 2 })
+        );
     }
 
     #[test]
     fn framed_decode_rejects_unknown_kind_and_malformed_body() {
-        use rumor_wire::{decode_frame, encode_frame, WireError};
         let m = sample_push(&mut rng());
         let mut bytes = encode_frame(&m).to_vec();
         bytes[1] = 200; // frame kind byte
@@ -579,11 +559,8 @@ mod tests {
         );
         // Truncate the payload but fix up the declared length: the body
         // decoder must reject it as malformed rather than panic.
-        let full = encode_frame(&m).to_vec();
-        let cut = full.len() - 3;
-        let mut truncated = full[..cut].to_vec();
-        let declared = (cut - 6) as u32;
-        truncated[2..6].copy_from_slice(&declared.to_be_bytes());
+        let full = encode_frame(&m);
+        let truncated = raw_frame(TAG_PUSH, &full[FRAME_HEADER_BYTES..full.len() - 3]);
         assert!(matches!(
             decode_frame::<Message>(&truncated),
             Err(WireError::Malformed { .. })
@@ -591,23 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn pull_since_and_delta_roundtrip_inline() {
-        let mut r = rng();
-        for m in [
-            Message::PullSince { since: 0 },
-            Message::PullSince { since: u64::MAX },
-            Message::DeltaResponse {
-                upto: 9,
-                updates: vec![sample_update(&mut r), sample_update(&mut r)],
-            },
-        ] {
-            assert_eq!(Message::decode(&m.encode()).unwrap(), m);
-        }
-    }
-
-    #[test]
     fn v2_kinds_are_framed_as_wire_v2_and_rejected_by_the_v1_decoder() {
-        use rumor_wire::{decode_frame, decode_frame_v2, encode_frame, WireError, WIRE_VERSION_V2};
         let mut r = rng();
         let messages = vec![
             Message::PullSince { since: 3 },
@@ -634,7 +595,6 @@ mod tests {
 
     #[test]
     fn framed_zero_copy_decode_views_values_out_of_the_frame() {
-        use rumor_wire::{decode_frame_v2, encode_frame, FRAME_HEADER_BYTES};
         let m = Message::DeltaResponse {
             upto: 1,
             updates: vec![Update::write(
@@ -662,11 +622,15 @@ mod tests {
     #[test]
     fn decode_rejects_empty_lineage() {
         // Hand-craft a push whose update claims zero lineage entries.
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_PUSH);
-        buf.put_u64(1); // key
-        buf.put_u32(0); // origin
-        buf.put_u16(0); // empty lineage
-        assert!(Message::decode(&buf).is_err());
+        let mut payload = BytesMut::new();
+        payload.put_u64(1); // key
+        payload.put_u32(0); // origin
+        payload.put_u16(0); // empty lineage
+        let Err(WireError::Malformed { reason }) =
+            decode_frame::<Message>(&raw_frame(TAG_PUSH, &payload))
+        else {
+            panic!("an empty lineage must be malformed");
+        };
+        assert!(reason.contains("empty lineage"), "{reason}");
     }
 }

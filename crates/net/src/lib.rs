@@ -1,19 +1,17 @@
-//! Logical-network substrate: engines that drive protocol nodes.
+//! Logical-network substrate: the engine that drives protocol nodes.
 //!
 //! The paper separates the update algorithm from physical connectivity:
 //! "the algorithm deals with logical connectivity (knowledge), and is
 //! disentangled from the underlying network/physical connectivity" (§1),
 //! and its analysis uses "a synchronous model which is a standard model
 //! for analysing epidemic algorithms" (§3). Accordingly this crate offers
-//! two engines over the same [`Node`] abstraction:
-//!
-//! * [`SyncEngine`] — lock-step push rounds: a message sent in round `t`
-//!   is delivered at the start of round `t+1`; messages addressed to
-//!   offline peers are lost (and still counted, as in the paper's
-//!   overhead metric).
-//! * [`EventEngine`] — a deterministic discrete-event engine with latency
-//!   and loss models, demonstrating that rounds "need not be synchronous"
-//!   (§4.1): messages of different rounds may coexist in flight.
+//! one engine over the [`Node`] abstraction: [`SyncEngine`] — lock-step
+//! push rounds: a message sent in round `t` is delivered at the start of
+//! round `t+1`; messages addressed to offline peers are lost (and still
+//! counted, as in the paper's overhead metric). That rounds "need not be
+//! synchronous" (§4.1) — messages of different rounds coexisting in
+//! flight — is exercised by `rumor-cluster`'s delivery-delay model, which
+//! mounts the same nodes.
 //!
 //! [`topology`] builds the *knowledge graph* — which replicas each peer
 //! initially knows — *full* or *partial* (random subset), per §2's
@@ -23,8 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod event_engine;
-mod latency;
 mod link;
 mod node;
 mod sink;
@@ -32,8 +28,6 @@ mod stats;
 mod sync_engine;
 pub mod topology;
 
-pub use event_engine::{EventEngine, EventEngineConfig};
-pub use latency::LatencyModel;
 pub use link::{BernoulliLoss, LinkFilter, Partition, PerfectLinks};
 pub use node::{Effect, Node};
 pub use sink::EffectSink;

@@ -1,4 +1,4 @@
-//! The protocol-node abstraction shared by both engines.
+//! The protocol-node abstraction every engine and executor drives.
 
 use crate::sink::EffectSink;
 use rand_chacha::ChaCha8Rng;
@@ -16,10 +16,10 @@ pub enum Effect<M> {
         /// Payload.
         msg: M,
     },
-    /// Ask for [`Node::on_timer`] to fire after `delay` rounds (sync
-    /// engine) or `delay` ticks (event engine).
+    /// Ask for [`Node::on_timer`] to fire after `delay` rounds. A delay
+    /// beyond the `u32` round range saturates: the timer never fires.
     Timer {
-        /// Delay until the timer fires, in engine time units.
+        /// Delay until the timer fires, in rounds.
         delay: u64,
         /// Opaque tag handed back on expiry.
         tag: u64,
@@ -33,8 +33,7 @@ impl<M> Effect<M> {
     }
 }
 
-/// A deterministic protocol state machine drivable by [`SyncEngine`] and
-/// [`EventEngine`].
+/// A deterministic protocol state machine drivable by [`SyncEngine`].
 ///
 /// All methods receive the engine's RNG so that a node's random choices
 /// (fanout target selection, forwarding coin flips) replay under a fixed
@@ -43,7 +42,6 @@ impl<M> Effect<M> {
 /// rounds never allocate for effect plumbing.
 ///
 /// [`SyncEngine`]: crate::SyncEngine
-/// [`EventEngine`]: crate::EventEngine
 pub trait Node {
     /// The message type exchanged between nodes of this protocol.
     type Msg: Clone;

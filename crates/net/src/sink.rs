@@ -60,7 +60,7 @@ impl<M> EffectSink<M> {
         self.effects.push(Effect::Send { to, msg });
     }
 
-    /// Queues a timer request firing after `delay` engine time units.
+    /// Queues a timer request firing after `delay` rounds.
     pub fn timer(&mut self, delay: u64, tag: u64) {
         self.effects.push(Effect::Timer { delay, tag });
     }

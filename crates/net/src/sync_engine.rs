@@ -250,7 +250,10 @@ impl<M: Clone, T: Tracer> SyncEngine<M, T> {
                 }
             }
             Effect::Timer { delay, tag } => {
-                let fire = (self.round + delay as u32).max(self.timer_barrier);
+                // A delay beyond the round counter's range never fires.
+                let delay = u32::try_from(delay).unwrap_or(u32::MAX);
+                let fire =
+                    Round::new(self.round.as_u32().saturating_add(delay)).max(self.timer_barrier);
                 self.timer_seq += 1;
                 self.timers.push(TimerEntry {
                     fire,
@@ -677,6 +680,27 @@ mod tests {
         engine.step(&mut nodes, &online, &PerfectLinks, &mut rng()); // round 1
         engine.step(&mut nodes, &online, &PerfectLinks, &mut rng()); // round 2: all due
         assert_eq!(nodes[0].timer_fired, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn timer_delays_beyond_the_round_range_saturate_instead_of_wrapping() {
+        // Regression: `delay as u32` wrapped 2^32 to 0 (fired at once)
+        // and `round + u32::MAX` overflowed the round counter.
+        let mut nodes = vec![Forwarder::new(0, None)];
+        let online = OnlineSet::all_online(1);
+        let mut engine = SyncEngine::new(1);
+        engine.step(&mut nodes, &online, &PerfectLinks, &mut rng()); // round 0
+        for (tag, delay) in [(1, 1u64 << 32), (2, u64::MAX)] {
+            engine.inject(PeerId::new(0), vec![Effect::Timer { delay, tag }]);
+        }
+        for _ in 0..8 {
+            engine.step(&mut nodes, &online, &PerfectLinks, &mut rng());
+        }
+        assert!(
+            nodes[0].timer_fired.is_empty(),
+            "never fires within the run"
+        );
+        assert!(!engine.is_quiescent(), "both timers stay armed");
     }
 
     #[test]

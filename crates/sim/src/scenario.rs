@@ -16,7 +16,7 @@
 //! Link *latency* is deliberately not a scenario knob: the driver runs
 //! the paper's synchronous round model, where every message takes
 //! exactly one round (§4.1). Variable-latency experiments belong to
-//! `rumor_net::EventEngine`, outside this harness.
+//! `rumor_cluster`'s `DelaySpec`, outside this harness.
 //!
 //! # Examples
 //!

@@ -26,4 +26,4 @@ mod time;
 
 pub use ids::{DataKey, PeerId, UpdateId, VersionId};
 pub use seed::{derive_seed, SeedSequence};
-pub use time::{Round, Tick};
+pub use time::Round;

@@ -1,4 +1,4 @@
-//! Logical time: push rounds and fine-grained simulation ticks.
+//! Logical time: push rounds.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -77,56 +77,6 @@ impl Sub<Round> for Round {
     }
 }
 
-/// A fine-grained logical timestamp used by the event-driven engine.
-///
-/// Ticks are dimensionless; the event engine's latency models decide how
-/// many ticks a message takes. One push round corresponds to roughly one
-/// network delay (paper §4.1), so engines map rounds onto tick windows.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct Tick(u64);
-
-impl Tick {
-    /// Time zero.
-    pub const ZERO: Self = Self(0);
-
-    /// Creates a tick from a raw count.
-    pub const fn new(t: u64) -> Self {
-        Self(t)
-    }
-
-    /// Returns the raw count.
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-
-    /// Returns this tick advanced by `delta`.
-    #[must_use]
-    pub const fn advance(self, delta: u64) -> Self {
-        Self(self.0 + delta)
-    }
-
-    /// Saturating difference between two ticks.
-    #[must_use]
-    pub const fn saturating_since(self, earlier: Tick) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
-}
-
-impl fmt::Display for Tick {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t={}", self.0)
-    }
-}
-
-impl Add<u64> for Tick {
-    type Output = Tick;
-    fn add(self, rhs: u64) -> Tick {
-        Tick(self.0 + rhs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,17 +100,7 @@ mod tests {
     }
 
     #[test]
-    fn tick_advance() {
-        let t = Tick::ZERO.advance(10);
-        assert_eq!(t.as_u64(), 10);
-        assert_eq!((t + 5).as_u64(), 15);
-        assert_eq!(t.saturating_since(Tick::new(3)), 7);
-        assert_eq!(Tick::new(3).saturating_since(t), 0);
-    }
-
-    #[test]
     fn displays_mention_value() {
         assert!(format!("{}", Round::new(4)).contains('4'));
-        assert!(format!("{}", Tick::new(9)).contains('9'));
     }
 }

@@ -18,7 +18,7 @@
 //! | [`analysis`] | `rumor-analysis` | the §4 analytical model (figures & Table 2) |
 //! | [`sim`] | `rumor-sim` | the `Scenario`/`Driver`/`Protocol` experiment harness + discrete simulator over the real protocol |
 //! | [`churn`] | `rumor-churn` | availability models (σ/p_on chains, on/off dwell, traces, catastrophes) |
-//! | [`net`] | `rumor-net` | sync round engine, async event engine, loss/partitions, topologies |
+//! | [`net`] | `rumor-net` | sync round engine, loss/partitions, topologies |
 //! | [`wire`] | `rumor-wire` | versioned, length-prefixed binary wire codec (frames, strict decode) |
 //! | [`cluster`] | `rumor-cluster` | live runtime: sans-IO nodes on OS threads, a sharded worker pool, or virtual time, exchanging encoded frames |
 //! | [`fuzz`] | `rumor-fuzz` | seeded chaos fuzzer: random scenarios + Byzantine peers vs the convergence oracle, replayable records |

@@ -308,6 +308,13 @@ fn one_worker_sharded_is_virtual_time_bit_for_bit() {
                 assert_eq!(inline_round, pooled_round, "{case}: convergence round");
                 let report = inline.report(update);
                 assert!(report.crashes > 0, "{case}: fault schedule never fired");
+                // §4.1, rounds need not be synchronous: also under
+                // multi-round skew, peers the churn window took offline
+                // recover by eager pull, not by the push alone.
+                let pulls: u64 = (0..64)
+                    .map(|i| inline.node(PeerId::new(i)).stats().pulls_initiated)
+                    .sum();
+                assert!(pulls > 0, "{case}: returning peers must have pulled");
                 assert_eq!(report, pooled.finish(update), "{case}: reports diverged");
             }
         }

@@ -37,9 +37,6 @@ fn roundtrip(msg: &Message) {
     assert_eq!(frame.len(), frame_len(msg), "sizer must be exact");
     let decoded: Message = decode_frame(&frame).expect("round-trip decode");
     assert_eq!(&decoded, msg);
-    // The legacy inline-tag format stays byte-compatible: frame payload
-    // is exactly the inline encoding minus its leading tag.
-    assert_eq!(&frame[FRAME_HEADER_BYTES..], &msg.encode()[1..]);
 }
 
 proptest! {
