@@ -80,6 +80,46 @@ fn bench_store(c: &mut Criterion) {
     c.bench_function("store/digest_10_keys", |b| {
         b.iter(|| std::hint::black_box(filled.digest()))
     });
+
+    // The pull responder's diff at the benchmark's store shape (16 keys,
+    // one version each): against an in-sync requester — nearly every
+    // request — and against one that is a single update behind.
+    let (behind, current) = sixteen_key_stores(&mut r);
+    let in_sync = current.digest();
+    let one_behind = behind.digest();
+    c.bench_function("store/missing_updates_in_sync_16_keys", |b| {
+        b.iter(|| std::hint::black_box(current.missing_updates_for(&in_sync)))
+    });
+    c.bench_function("store/missing_updates_one_behind_16_keys", |b| {
+        b.iter(|| std::hint::black_box(current.missing_updates_for(&one_behind)))
+    });
+}
+
+/// Two 16-key stores, one version per key: the second has applied one
+/// superseding update the first has not.
+fn sixteen_key_stores(r: &mut ChaCha8Rng) -> (ReplicaStore, ReplicaStore) {
+    let updates: Vec<Update> = (0..16)
+        .map(|key| {
+            Update::write(
+                DataKey::new(key),
+                Lineage::root(r).child(r),
+                Value::from("payload"),
+                PeerId::new(0),
+            )
+        })
+        .collect();
+    let mut behind = ReplicaStore::new();
+    for u in &updates {
+        behind.apply(u);
+    }
+    let mut current = behind.clone();
+    current.apply(&Update::write(
+        updates[15].key(),
+        updates[15].lineage().child(r),
+        Value::from("newer"),
+        PeerId::new(0),
+    ));
+    (behind, current)
 }
 
 fn bench_message_codec(c: &mut Criterion) {
@@ -100,6 +140,17 @@ fn bench_message_codec(c: &mut Criterion) {
     });
     c.bench_function("message/decode_push_list100", |b| {
         b.iter(|| std::hint::black_box(decode_frame::<Message>(&encoded).expect("valid")))
+    });
+
+    let pull = Message::PullRequest {
+        digest: sixteen_key_stores(&mut r).1.digest(),
+    };
+    let encoded_pull = encode_frame(&pull);
+    c.bench_function("message/encode_pull_request_16_keys", |b| {
+        b.iter(|| std::hint::black_box(encode_frame(&pull)))
+    });
+    c.bench_function("message/decode_pull_request_16_keys", |b| {
+        b.iter(|| std::hint::black_box(decode_frame::<Message>(&encoded_pull).expect("valid")))
     });
 }
 

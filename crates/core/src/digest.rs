@@ -1,15 +1,27 @@
 //! Version digests exchanged during the pull phase.
 //!
-//! A pulling replica summarises what it holds — per key, the head ids of
-//! its frontier versions — and the pulled party answers with every
+//! A pulling replica summarises what it holds — the head id of every
+//! frontier version, per key — and the pulled party answers with every
 //! version not listed (paper §3: "Inquire for missed updates based on
 //! version vectors").
+//!
+//! # Invariants
+//!
+//! * A digest is one flat array of `(key, head)` pairs, **strictly
+//!   ascending** (sorted, no duplicates). Equality, ordering and the wire
+//!   encoding therefore depend only on the *set* of pairs: insertion
+//!   order, sharing and capacity are invisible.
+//! * The array sits behind shared ownership. Cloning a digest — once per
+//!   pull target — is a reference-count bump, and shared storage is
+//!   **immutable once cloned**: a mutation through one handle copies the
+//!   array first ([`Arc::make_mut`]), so a digest already moved into a
+//!   message never observes a later change to the store it came from.
 
 use rumor_types::{DataKey, VersionId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// Per-key sets of known version heads.
+/// The set of known `(key, version head)` pairs.
 ///
 /// # Examples
 ///
@@ -21,10 +33,17 @@ use std::collections::BTreeMap;
 /// d.insert(DataKey::new(1), VersionId::from_bits(42));
 /// assert!(d.contains(DataKey::new(1), VersionId::from_bits(42)));
 /// assert!(!d.contains(DataKey::new(2), VersionId::from_bits(42)));
+///
+/// // A clone shares storage until either side is mutated.
+/// let in_flight = d.clone();
+/// d.insert(DataKey::new(2), VersionId::from_bits(7));
+/// assert_eq!(in_flight.version_count(), 1);
+/// assert_eq!(d.version_count(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct StoreDigest {
-    entries: BTreeMap<DataKey, Vec<VersionId>>,
+    /// Strictly ascending; see the module invariants.
+    pairs: Arc<Vec<(DataKey, VersionId)>>,
 }
 
 impl StoreDigest {
@@ -33,49 +52,63 @@ impl StoreDigest {
         Self::default()
     }
 
+    /// Builds a digest from pairs in any order, with or without
+    /// duplicates. Input that is already strictly ascending — every
+    /// canonically encoded digest — is adopted as is.
+    pub(crate) fn from_pairs(mut pairs: Vec<(DataKey, VersionId)>) -> Self {
+        if !pairs.windows(2).all(|w| w[0] < w[1]) {
+            pairs.sort_unstable();
+            pairs.dedup();
+        }
+        Self {
+            pairs: Arc::new(pairs),
+        }
+    }
+
     /// Records that a version head is known for `key`.
     pub fn insert(&mut self, key: DataKey, head: VersionId) {
-        let heads = self.entries.entry(key).or_default();
-        if let Err(pos) = heads.binary_search(&head) {
-            heads.insert(pos, head);
+        if let Err(pos) = self.pairs.binary_search(&(key, head)) {
+            Arc::make_mut(&mut self.pairs).insert(pos, (key, head));
+        }
+    }
+
+    /// Forgets a version head; a pair that is not listed is left alone
+    /// (and shared storage is not copied for it).
+    pub(crate) fn remove(&mut self, key: DataKey, head: VersionId) {
+        if let Ok(pos) = self.pairs.binary_search(&(key, head)) {
+            Arc::make_mut(&mut self.pairs).remove(pos);
         }
     }
 
     /// Whether `head` is listed for `key`.
     pub fn contains(&self, key: DataKey, head: VersionId) -> bool {
-        self.entries
-            .get(&key)
-            .is_some_and(|heads| heads.binary_search(&head).is_ok())
+        self.pairs.binary_search(&(key, head)).is_ok()
     }
 
     /// Number of keys described.
     pub fn key_count(&self) -> usize {
-        self.entries.len()
+        self.pairs.chunk_by(|a, b| a.0 == b.0).count()
     }
 
     /// Total number of `(key, head)` entries.
     pub fn version_count(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        self.pairs.len()
     }
 
     /// True when the digest describes nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.pairs.is_empty()
     }
 
-    /// Iterates `(key, heads)` in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (DataKey, &[VersionId])> {
-        self.entries.iter().map(|(k, v)| (*k, v.as_slice()))
+    /// Every `(key, head)` pair, strictly ascending.
+    pub fn pairs(&self) -> &[(DataKey, VersionId)] {
+        &self.pairs
     }
 }
 
 impl FromIterator<(DataKey, VersionId)> for StoreDigest {
     fn from_iter<I: IntoIterator<Item = (DataKey, VersionId)>>(iter: I) -> Self {
-        let mut d = Self::new();
-        for (k, v) in iter {
-            d.insert(k, v);
-        }
-        d
+        Self::from_pairs(iter.into_iter().collect())
     }
 }
 
@@ -117,24 +150,27 @@ mod tests {
     #[test]
     fn heads_stay_sorted() {
         let mut d = StoreDigest::new();
-        for bits in [5u128, 1, 3, 2, 4] {
-            d.insert(DataKey::new(1), v(bits));
+        for (key, bits) in [(2u64, 5u128), (1, 3), (2, 1), (1, 3), (1, 4), (3, 0)] {
+            d.insert(DataKey::new(key), v(bits));
         }
-        let (_, heads) = d.iter().next().unwrap();
-        let sorted: Vec<_> = {
-            let mut s = heads.to_vec();
-            s.sort();
-            s
-        };
-        assert_eq!(heads, sorted.as_slice());
+        assert!(d.pairs().windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(d.key_count(), 3);
+        assert_eq!(d.version_count(), 5);
     }
 
     #[test]
     fn from_iterator_collects() {
-        let d: StoreDigest = [(DataKey::new(1), v(1)), (DataKey::new(2), v(2))]
-            .into_iter()
-            .collect();
-        assert_eq!(d.key_count(), 2);
+        let d: StoreDigest = [
+            (DataKey::new(2), v(2)),
+            (DataKey::new(1), v(1)),
+            (DataKey::new(2), v(2)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(
+            d.pairs(),
+            [(DataKey::new(1), v(1)), (DataKey::new(2), v(2))]
+        );
     }
 
     #[test]
@@ -142,9 +178,33 @@ mod tests {
         let a: StoreDigest = [(DataKey::new(1), v(1)), (DataKey::new(1), v(2))]
             .into_iter()
             .collect();
-        let b: StoreDigest = [(DataKey::new(1), v(2)), (DataKey::new(1), v(1))]
+        let mut b = StoreDigest::new();
+        b.insert(DataKey::new(1), v(2));
+        b.insert(DataKey::new(1), v(1));
+        let shared = a.clone();
+        assert_eq!(a, b);
+        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
+        assert_eq!(shared, b);
+    }
+
+    #[test]
+    fn remove_forgets_one_pair() {
+        let mut d: StoreDigest = [(DataKey::new(1), v(1)), (DataKey::new(1), v(2))]
             .into_iter()
             .collect();
-        assert_eq!(a, b);
+        d.remove(DataKey::new(1), v(1));
+        d.remove(DataKey::new(9), v(9));
+        assert_eq!(d.pairs(), [(DataKey::new(1), v(2))]);
+    }
+
+    #[test]
+    fn a_clone_never_observes_a_later_mutation() {
+        let mut d = StoreDigest::new();
+        d.insert(DataKey::new(1), v(1));
+        let in_flight = d.clone();
+        d.insert(DataKey::new(2), v(2));
+        d.remove(DataKey::new(1), v(1));
+        assert_eq!(in_flight.pairs(), [(DataKey::new(1), v(1))]);
+        assert_eq!(d.pairs(), [(DataKey::new(2), v(2))]);
     }
 }

@@ -105,10 +105,8 @@ impl Message {
                 update_len(&p.update) + 4 + 4 + p.flood_list.len() * REPLICA_ENTRY_BYTES
             }
             Self::PullRequest { digest } => {
-                4 + digest
-                    .iter()
-                    .map(|(_, heads)| 8 + 2 + heads.len() * 16)
-                    .sum::<usize>()
+                4 + digest_groups(digest).count() * DIGEST_GROUP_HEADER_BYTES
+                    + digest.version_count() * 16
             }
             Self::PullResponse { updates } => 4 + updates.iter().map(update_len).sum::<usize>(),
             Self::Ack { .. } => 16,
@@ -132,12 +130,12 @@ impl Message {
                 }
             }
             Self::PullRequest { digest } => {
-                buf.put_u32(digest.key_count() as u32);
-                for (key, heads) in digest.iter() {
-                    buf.put_u64(key.as_u64());
-                    buf.put_u16(heads.len() as u16);
-                    for h in heads {
-                        buf.put_u128(h.to_bits());
+                buf.put_u32(digest_groups(digest).count() as u32);
+                for group in digest_groups(digest) {
+                    buf.put_u64(group[0].0.as_u64());
+                    buf.put_u16(group.len() as u16);
+                    for (_, head) in group {
+                        buf.put_u128(head.to_bits());
                     }
                 }
             }
@@ -184,16 +182,21 @@ impl Message {
                 })
             }
             TAG_PULL_REQUEST => {
-                let keys = take_u32(buf)? as usize;
-                let mut digest = StoreDigest::new();
-                for _ in 0..keys {
+                let groups = take_u32(buf)? as usize;
+                // Sized by what the remaining payload can hold — exact for
+                // an honest body — never by the untrusted counts.
+                let group_bytes = groups.saturating_mul(DIGEST_GROUP_HEADER_BYTES);
+                let mut pairs = Vec::with_capacity(buf.len().saturating_sub(group_bytes) / 16);
+                for _ in 0..groups {
                     let key = DataKey::new(take_u64(buf)?);
                     let heads = take_u16(buf)? as usize;
                     for _ in 0..heads {
-                        digest.insert(key, VersionId::from_bits(take_u128(buf)?));
+                        pairs.push((key, VersionId::from_bits(take_u128(buf)?)));
                     }
                 }
-                Self::PullRequest { digest }
+                Self::PullRequest {
+                    digest: StoreDigest::from_pairs(pairs),
+                }
             }
             TAG_PULL_RESPONSE => {
                 let n = take_u32(buf)? as usize;
@@ -288,6 +291,19 @@ fn decode_message_payload(
         return Err(rumor_wire::WireError::TrailingBytes { count: buf.len() });
     }
     Ok(msg)
+}
+
+/// Bytes that open one digest group on the wire: key + head count.
+const DIGEST_GROUP_HEADER_BYTES: usize = 8 + 2;
+
+/// The wire groups of a digest: each key's run of heads, a run longer
+/// than the `u16` head count can state split into several groups of the
+/// same key (the decoder accepts a repeated key).
+fn digest_groups(digest: &StoreDigest) -> impl Iterator<Item = &[(DataKey, VersionId)]> {
+    digest
+        .pairs()
+        .chunk_by(|a, b| a.0 == b.0)
+        .flat_map(|run| run.chunks(usize::from(u16::MAX)))
 }
 
 fn update_len(u: &Update) -> usize {
@@ -438,6 +454,97 @@ mod tests {
         digest.insert(DataKey::new(1), VersionId::from_bits(9));
         digest.insert(DataKey::new(2), VersionId::from_bits(3));
         framed_roundtrip(&Message::PullRequest { digest });
+    }
+
+    /// A hand-built `PullRequest` body: the stated group count, then each
+    /// `(key, heads)` group exactly as given — canonical or not.
+    fn pull_request_body(stated_groups: u32, groups: &[(u64, &[u128])]) -> BytesMut {
+        let mut body = BytesMut::new();
+        body.put_u32(stated_groups);
+        for (key, heads) in groups {
+            body.put_u64(*key);
+            body.put_u16(heads.len() as u16);
+            for h in *heads {
+                body.put_u128(*h);
+            }
+        }
+        body
+    }
+
+    #[test]
+    fn pull_request_decode_canonicalises_crafted_bodies() {
+        // Unsorted heads, duplicate heads, keys out of order, a repeated
+        // key and a zero-head key: all legal on the wire, all decode to
+        // the digest the one-insert-per-head loop produced.
+        let groups: &[(u64, &[u128])] = &[
+            (7, &[9, 3, 9, 5]),
+            (2, &[]),
+            (1, &[4]),
+            (7, &[1, 3]),
+            (1, &[4, 2]),
+        ];
+        let mut expected = StoreDigest::new();
+        for (key, heads) in groups {
+            for h in *heads {
+                expected.insert(DataKey::new(*key), VersionId::from_bits(*h));
+            }
+        }
+        let body = pull_request_body(groups.len() as u32, groups);
+        let decoded = decode_frame::<Message>(&raw_frame(TAG_PULL_REQUEST, &body)).unwrap();
+        assert_eq!(decoded, Message::PullRequest { digest: expected });
+        // Re-encoding is canonical: ascending keys, ascending heads, one
+        // group per key, no empty group — and round-trips unchanged.
+        let canonical = pull_request_body(2, &[(1, &[2, 4]), (7, &[1, 3, 5, 9])]);
+        assert_eq!(
+            &encode_frame(&decoded)[FRAME_HEADER_BYTES..],
+            canonical.as_ref()
+        );
+        framed_roundtrip(&decoded);
+    }
+
+    #[test]
+    fn pull_request_decode_never_trusts_the_stated_counts() {
+        // An over-stated group count, an over-stated head count and a
+        // count far beyond the payload are typed errors — reached without
+        // reserving memory for what the counts merely claim.
+        let honest: &[(u64, &[u128])] = &[(1, &[4, 2])];
+        let mut overstated_heads = pull_request_body(1, honest);
+        overstated_heads[4 + 8..4 + 8 + 2].copy_from_slice(&u16::MAX.to_be_bytes());
+        for body in [
+            pull_request_body(2, honest),
+            pull_request_body(u32::MAX, honest),
+            pull_request_body(u32::MAX, &[]),
+            overstated_heads,
+        ] {
+            assert!(matches!(
+                decode_frame::<Message>(&raw_frame(TAG_PULL_REQUEST, &body)),
+                Err(WireError::Malformed { .. })
+            ));
+        }
+        // An under-stated count leaves bytes behind.
+        assert!(matches!(
+            decode_frame::<Message>(&raw_frame(TAG_PULL_REQUEST, &pull_request_body(0, honest))),
+            Err(WireError::TrailingBytes { .. })
+        ));
+    }
+
+    #[test]
+    fn a_run_longer_than_u16_is_emitted_as_several_groups_of_one_key() {
+        let heads = usize::from(u16::MAX) + 2;
+        let digest: StoreDigest = (0..heads as u128)
+            .map(|h| (DataKey::new(3), VersionId::from_bits(h)))
+            .chain([(DataKey::new(4), VersionId::from_bits(0))])
+            .collect();
+        let m = Message::PullRequest { digest };
+        let frame = encode_frame(&m);
+        let body = &frame[FRAME_HEADER_BYTES..];
+        assert_eq!(
+            body[..4],
+            3u32.to_be_bytes(),
+            "two groups of key 3, one of 4"
+        );
+        assert_eq!(body[4 + 8..4 + 8 + 2], u16::MAX.to_be_bytes());
+        framed_roundtrip(&m);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The replica state machine: push phase, pull phase, acks, self-tuning.
 
 use crate::config::{AckPolicy, ProtocolConfig, PullStrategy};
+use crate::digest::StoreDigest;
 use crate::forward::TuningSignals;
 use crate::message::{Message, PushMessage};
 use crate::partial_list::PartialList;
@@ -273,7 +274,6 @@ impl ReplicaPeer {
             return;
         }
         self.stats.pulls_initiated += 1;
-        let _ = round;
         let (preferred, avoided) = self.selection_bias(round);
         let mut targets = std::mem::take(&mut self.targets_scratch);
         select_targets_into(
@@ -285,37 +285,29 @@ impl ReplicaPeer {
             &mut self.select_scratch,
             &mut targets,
         );
-        if self.config.pull.delta {
-            // Wire-v2: quote each responder's last journal mark instead
-            // of shipping the full store digest — constant request size,
-            // O(delta) response. First contact (no mark yet) falls back
-            // to a digest pull: quoting `since = 0` would make the
-            // responder replay its entire journal, and flood lists keep
-            // introducing never-pulled peers, so at scale the replays
-            // would dwarf what the marks save. The responder answers a
-            // digest pull with a mark-carrying delta (see
-            // [`ReplicaPeer::handle_pull_request`]), so one exchange
-            // upgrades the pair to incremental syncs.
-            let mut digest = None;
-            for &to in &targets {
-                match self.peer_sync.get(&to) {
-                    Some(&since) => out.send(to, Message::PullSince { since }),
-                    None => {
-                        let d = digest.get_or_insert_with(|| self.store.digest());
-                        out.send(to, Message::PullRequest { digest: d.clone() });
-                    }
-                }
-            }
-        } else {
-            let digest = self.store.digest();
-            for &to in &targets {
-                out.send(
-                    to,
-                    Message::PullRequest {
-                        digest: digest.clone(),
-                    },
-                );
-            }
+        // Wire-v2 delta pulls quote each responder's last journal mark
+        // instead of shipping the full store digest — constant request
+        // size, O(delta) response. First contact (no mark yet) falls back
+        // to a digest pull: quoting `since = 0` would make the responder
+        // replay its entire journal, and flood lists keep introducing
+        // never-pulled peers, so at scale the replays would dwarf what
+        // the marks save. The responder answers a digest pull with a
+        // mark-carrying delta (see [`ReplicaPeer::handle_pull_request`]),
+        // so one exchange upgrades the pair to incremental syncs.
+        for &to in &targets {
+            let mark = if self.config.pull.delta {
+                self.peer_sync.get(&to)
+            } else {
+                None
+            };
+            let request = match mark {
+                Some(&since) => Message::PullSince { since },
+                // Every target shares the store's one digest allocation.
+                None => Message::PullRequest {
+                    digest: self.store.digest(),
+                },
+            };
+            out.send(to, request);
         }
         targets.clear();
         self.targets_scratch = targets;
@@ -497,7 +489,7 @@ impl ReplicaPeer {
     fn handle_pull_request(
         &mut self,
         from: PeerId,
-        digest: &crate::digest::StoreDigest,
+        digest: &StoreDigest,
         round: Round,
         rng: &mut ChaCha8Rng,
         out: &mut EffectSink<Message>,
@@ -679,6 +671,7 @@ impl Node for ReplicaPeer {
 mod tests {
     use super::*;
     use crate::config::{AckPolicy, ProtocolConfig, PullStrategy};
+    use crate::digest::StoreDigest;
     use crate::forward::ForwardPolicy;
     use rand::SeedableRng;
     use rumor_net::Effect;
@@ -1394,7 +1387,7 @@ mod tests {
         p.on_message(
             PeerId::new(1),
             Message::PullRequest {
-                digest: crate::digest::StoreDigest::new(),
+                digest: StoreDigest::new(),
             },
             Round::new(2),
             &mut r,

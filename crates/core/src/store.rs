@@ -6,6 +6,18 @@
 //! maximal lineages: applying an update discards every version it
 //! supersedes and otherwise coexists with the rest. Deletions are stored
 //! as tombstones so that the death certificate keeps propagating.
+//!
+//! # The maintained digest
+//!
+//! The store carries its own [`StoreDigest`] — the `(key, head)` pair of
+//! every stored version — and keeps it current inside
+//! [`ReplicaStore::apply`], the only place the frontier changes. The
+//! digest is a **pure function of `items`**: after any apply sequence it
+//! equals the digest rebuilt from scratch. A pull therefore costs no
+//! digest construction: [`ReplicaStore::digest`] hands out a shared
+//! handle in O(1), and because shared digest storage is immutable once
+//! cloned (see [`crate::digest`]), a handle already travelling in a
+//! `PullRequest` is unaffected by later applies.
 
 use crate::digest::StoreDigest;
 use crate::update::Update;
@@ -97,6 +109,9 @@ impl ApplyOutcome {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReplicaStore {
     items: BTreeMap<DataKey, Vec<StoredVersion>>,
+    /// The `(key, head)` pair of every version in `items`, maintained by
+    /// [`ReplicaStore::apply`].
+    digest: StoreDigest,
     /// Keys in the order store-changing applies touched them — the
     /// wire-v2 delta-pull index. `journal.len()` is this replica's sync
     /// frontier; [`ReplicaStore::delta_since`] answers "what changed
@@ -114,7 +129,8 @@ impl ReplicaStore {
     /// Applies an update, enforcing the frontier invariant: after the
     /// call, no stored version of the key covers another.
     pub fn apply(&mut self, update: &Update) -> ApplyOutcome {
-        let versions = self.items.entry(update.key()).or_default();
+        let key = update.key();
+        let versions = self.items.entry(key).or_default();
         for v in versions.iter() {
             if v.lineage == *update.lineage() {
                 return ApplyOutcome::AlreadyKnown;
@@ -124,14 +140,27 @@ impl ReplicaStore {
             }
         }
         let before = versions.len();
-        versions.retain(|v| !update.lineage().covers(&v.lineage));
+        versions.retain(|v| {
+            let superseded = update.lineage().covers(&v.lineage);
+            if superseded {
+                self.digest.remove(key, v.lineage.head());
+            }
+            !superseded
+        });
         let superseded = before - versions.len();
         versions.push(StoredVersion {
             lineage: update.lineage().clone(),
             value: update.value().cloned(),
             origin: update.origin(),
         });
-        self.journal.push(update.key());
+        // Re-listing the survivors is a no-op unless one of them shares
+        // its head id with a version dropped above (distinct lineages
+        // ending in one id — only a crafted update does that), in which
+        // case the pair must stay listed.
+        for v in versions.iter() {
+            self.digest.insert(key, v.lineage.head());
+        }
+        self.journal.push(key);
         if superseded > 0 {
             ApplyOutcome::Applied
         } else {
@@ -213,15 +242,10 @@ impl ReplicaStore {
             .count()
     }
 
-    /// A compact description of every version held, for anti-entropy.
+    /// A compact description of every version held, for anti-entropy:
+    /// a shared handle to the maintained digest, O(1).
     pub fn digest(&self) -> StoreDigest {
-        let mut digest = StoreDigest::new();
-        for (key, versions) in &self.items {
-            for v in versions {
-                digest.insert(*key, v.lineage.head());
-            }
-        }
-        digest
+        self.digest.clone()
     }
 
     /// Updates held here that the owner of `digest` does not list — the
@@ -230,12 +254,29 @@ impl ReplicaStore {
     /// A version is sent when its head id is absent from the digest; the
     /// receiver's own `apply` discards anything its frontier already
     /// covers, so over-sending costs only bandwidth, never correctness.
+    ///
+    /// Computed as a linear merge of this store's own digest against
+    /// `digest`; `items` is touched only for keys with a head the
+    /// requester lacks, so answering an in-sync requester reads two flat
+    /// arrays and allocates nothing.
     pub fn missing_updates_for(&self, digest: &StoreDigest) -> Vec<Update> {
+        let mut theirs = digest.pairs();
         let mut out = Vec::new();
-        for (key, versions) in &self.items {
-            for v in versions {
-                if !digest.contains(*key, v.lineage.head()) {
-                    out.push(v.to_update(*key));
+        for run in self.digest.pairs().chunk_by(|a, b| a.0 == b.0) {
+            let all_listed = run.iter().all(|pair| {
+                while theirs.first().is_some_and(|t| t < pair) {
+                    theirs = &theirs[1..];
+                }
+                theirs.first() == Some(pair)
+            });
+            if !all_listed {
+                // The requester lacks a head of this key: send, in stored
+                // order, every version of the key it does not list.
+                let key = run[0].0;
+                for v in self.versions(key) {
+                    if !digest.contains(key, v.lineage.head()) {
+                        out.push(v.to_update(key));
+                    }
                 }
             }
         }
@@ -254,7 +295,7 @@ impl ReplicaStore {
     /// Two stores are *consistent* when they hold identical version sets
     /// (the paper's quasi-consistency target once gossip quiesces).
     pub fn consistent_with(&self, other: &ReplicaStore) -> bool {
-        self.digest() == other.digest()
+        self.digest == other.digest
     }
 }
 
@@ -390,6 +431,77 @@ mod tests {
         assert_eq!(missing[0].key(), DataKey::new(2));
         assert_eq!(b.merge_updates(&missing), 1);
         assert!(a.consistent_with(&b));
+    }
+
+    /// The digest as the old `digest()` built it: from `items`, by insert.
+    fn rebuilt_digest(s: &ReplicaStore) -> StoreDigest {
+        let mut digest = StoreDigest::new();
+        for (key, versions) in &s.items {
+            for v in versions {
+                digest.insert(*key, v.lineage.head());
+            }
+        }
+        digest
+    }
+
+    #[test]
+    fn maintained_digest_tracks_every_kind_of_apply() {
+        let mut r = rng();
+        let mut s = ReplicaStore::new();
+        assert_eq!(s.digest(), StoreDigest::new());
+        let base = Lineage::root(&mut r);
+        let a = write(1, base.child(&mut r), "a");
+        let b = write(1, base.child(&mut r), "b");
+        let a2 = write(1, a.lineage().child(&mut r), "a2");
+        let other = write(2, Lineage::root(&mut r), "o");
+        let gone = other.superseding_delete(&mut r);
+        // Concurrent branches, a supersede, a second key, a tombstone, then
+        // stale and duplicate applies that must change nothing.
+        for u in [&a, &b, &a2, &other, &gone, &a, &other, &a2, &gone] {
+            s.apply(u);
+            assert_eq!(s.digest(), rebuilt_digest(&s), "after {u:?}");
+        }
+        assert_eq!(s.digest().version_count(), 3);
+    }
+
+    #[test]
+    fn a_head_shared_by_two_lineages_stays_listed_while_one_survives() {
+        // Only a crafted update ends two distinct lineages in one id; the
+        // digest must still be the pure function of `items`.
+        let mut r = rng();
+        let shared = Lineage::root(&mut r).head();
+        let ending_in =
+            |r: &mut ChaCha8Rng| Lineage::from_ids(vec![Lineage::root(r).head(), shared]);
+        let x = write(1, ending_in(&mut r), "x");
+        let y = write(1, ending_in(&mut r), "y");
+        let x2 = write(1, x.lineage().child(&mut r), "x2");
+        let mut s = ReplicaStore::new();
+        for u in [&x, &y, &x2] {
+            s.apply(u);
+            assert_eq!(s.digest(), rebuilt_digest(&s));
+        }
+        assert!(s.digest().contains(DataKey::new(1), shared));
+    }
+
+    #[test]
+    fn an_in_flight_digest_never_observes_a_later_apply() {
+        let mut r = rng();
+        let mut s = ReplicaStore::new();
+        let u1 = write(1, Lineage::root(&mut r), "a");
+        s.apply(&u1);
+        // What a `PullRequest` carries: a handle sharing the store's array.
+        let in_flight = s.digest();
+        let frozen = rebuilt_digest(&s);
+        s.apply(&write(1, u1.lineage().child(&mut r), "b"));
+        s.apply(&write(2, Lineage::root(&mut r), "c"));
+        assert_eq!(in_flight, frozen, "copy-on-write isolates the message");
+        assert_ne!(s.digest(), in_flight);
+        assert_eq!(s.digest(), rebuilt_digest(&s));
+        // A cloned store owns its frontier independently as well.
+        let mut fork = s.clone();
+        fork.apply(&write(3, Lineage::root(&mut r), "d"));
+        assert_eq!(s.digest(), rebuilt_digest(&s));
+        assert_eq!(fork.digest(), rebuilt_digest(&fork));
     }
 
     #[test]

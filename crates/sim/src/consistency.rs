@@ -1,7 +1,7 @@
 //! Population-level consistency measurements.
 
 use rumor_churn::OnlineSet;
-use rumor_core::ReplicaPeer;
+use rumor_core::{ReplicaPeer, StoreDigest};
 use rumor_types::{DataKey, UpdateId};
 
 /// Fraction of peers aware of `update` — restricted to online peers when
@@ -31,25 +31,20 @@ pub fn awareness(peers: &[ReplicaPeer], online: Option<&OnlineSet>, update: Upda
 /// majority — the paper's quasi-consistency measure once gossip quiesces.
 pub fn consistency_fraction(peers: &[ReplicaPeer], online: Option<&OnlineSet>) -> f64 {
     use std::collections::BTreeMap;
-    let digests: Vec<_> = peers
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| {
-            online.is_none_or(|set| set.is_online(rumor_types::PeerId::new(*i as u32)))
-        })
-        .map(|(_, p)| p.store().digest())
-        .collect();
-    if digests.is_empty() {
-        return 0.0;
-    }
-    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    for d in &digests {
-        // Digest equality via a canonical rendering keeps the map simple.
-        let key = format!("{d:?}");
-        *counts.entry(key).or_default() += 1;
+    let mut counts: BTreeMap<StoreDigest, usize> = BTreeMap::new();
+    let mut total = 0usize;
+    for (i, peer) in peers.iter().enumerate() {
+        if online.is_none_or(|set| set.is_online(rumor_types::PeerId::new(i as u32))) {
+            *counts.entry(peer.store().digest()).or_default() += 1;
+            total += 1;
+        }
     }
     let majority = counts.values().copied().max().unwrap_or(0);
-    majority as f64 / digests.len() as f64
+    if total == 0 {
+        0.0
+    } else {
+        majority as f64 / total as f64
+    }
 }
 
 /// For each peer, whether its visible value for `key` equals `expected`

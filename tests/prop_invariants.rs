@@ -5,8 +5,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rumor::analysis::{PfSchedule, PushModel, PushParams};
 use rumor::core::{
-    DiscardStrategy, Lineage, PartialList, ReplicaStore, TruncationPolicy, Update, Value,
-    VersionRelation,
+    DiscardStrategy, Lineage, PartialList, ReplicaStore, StoreDigest, TruncationPolicy, Update,
+    Value, VersionRelation,
 };
 use rumor::pgrid::Path;
 use rumor::types::{DataKey, PeerId, VersionId};
@@ -25,7 +25,140 @@ fn lineage_from(seed: u64, depth: usize) -> Lineage {
     l
 }
 
+/// Replays a generated op sequence into a store: fresh roots over three
+/// keys, children of any earlier update (so concurrent branches and
+/// supersedes both occur), superseding tombstones, and re-applies of
+/// earlier updates (stale or duplicate). `after_each` sees the store
+/// after every apply.
+fn replay_applies(
+    seed: u64,
+    ops: &[u32],
+    mut after_each: impl FnMut(&ReplicaStore),
+) -> ReplicaStore {
+    let mut r = rng(seed);
+    let mut store = ReplicaStore::new();
+    let mut issued: Vec<Update> = Vec::new();
+    for &op in ops {
+        let arg = (op / 4) as usize;
+        let update = match (op % 4, issued.len()) {
+            (0, _) | (_, 0) => Update::write(
+                DataKey::new(arg as u64 % 3),
+                Lineage::root(&mut r),
+                Value::from("root"),
+                PeerId::new(0),
+            ),
+            (1, n) => {
+                let parent = &issued[arg % n];
+                let lineage = parent.lineage().child(&mut r);
+                Update::write(parent.key(), lineage, Value::from("child"), PeerId::new(1))
+            }
+            (2, n) => issued[arg % n].superseding_delete(&mut r),
+            (_, n) => issued[arg % n].clone(),
+        };
+        store.apply(&update);
+        issued.push(update);
+        after_each(&store);
+    }
+    store
+}
+
+/// The digest as `ReplicaStore::digest` used to build it: from the stored
+/// versions, one `insert` at a time.
+fn rebuilt_digest(store: &ReplicaStore) -> StoreDigest {
+    let mut digest = StoreDigest::new();
+    for key in store.keys() {
+        for v in store.versions(key) {
+            digest.insert(key, v.lineage().head());
+        }
+    }
+    digest
+}
+
 proptest! {
+    #[test]
+    fn maintained_digest_is_a_pure_function_of_the_stored_versions(
+        seed in 0u64..2_000,
+        ops in proptest::collection::vec(0u32..4_000, 0..40),
+        snapshot_at in 0usize..40,
+    ) {
+        // A digest taken mid-sequence — what an in-flight `PullRequest`
+        // holds — with the value it had at that moment.
+        let mut in_flight: Option<(StoreDigest, StoreDigest)> = None;
+        let mut applied = 0usize;
+        let mut violation = None;
+        let store = replay_applies(seed, &ops, |store| {
+            applied += 1;
+            if store.digest() != rebuilt_digest(store) {
+                violation.get_or_insert(applied);
+            }
+            if applied == snapshot_at {
+                in_flight = Some((store.digest(), rebuilt_digest(store)));
+            }
+        });
+        prop_assert_eq!(violation, None, "maintained digest diverged from the stored versions");
+        prop_assert!(store.digest().pairs().windows(2).all(|w| w[0] < w[1]));
+        if let Some((shared, frozen)) = in_flight {
+            prop_assert_eq!(shared, frozen, "a later apply leaked into a cloned digest");
+        }
+    }
+
+    #[test]
+    fn missing_updates_are_exactly_the_unlisted_versions_in_key_order(
+        seed in 0u64..2_000,
+        ops_a in proptest::collection::vec(0u32..4_000, 0..30),
+        ops_b in proptest::collection::vec(0u32..4_000, 0..30),
+        shared_prefix in 0usize..30,
+    ) {
+        // Two stores with a common history prefix, so the digests overlap.
+        let prefix = &ops_a[..shared_prefix.min(ops_a.len())];
+        let a = replay_applies(seed, &ops_a, |_| {});
+        let mut b_ops = prefix.to_vec();
+        b_ops.extend_from_slice(&ops_b);
+        let b = replay_applies(seed, &b_ops, |_| {});
+        for (responder, requester) in [(&a, &b), (&b, &a), (&a, &a)] {
+            let digest = requester.digest();
+            let mut expected = Vec::new();
+            for key in responder.keys() {
+                for v in responder.versions(key) {
+                    if !digest.contains(key, v.lineage().head()) {
+                        expected.push(v.to_update(key));
+                    }
+                }
+            }
+            prop_assert_eq!(responder.missing_updates_for(&digest), expected);
+        }
+    }
+
+    #[test]
+    fn digest_identity_depends_only_on_its_set_of_pairs(
+        cells in proptest::collection::vec(0u64..24, 0..24),
+        rotate in 0usize..24,
+    ) {
+        // Four keys × six heads, so duplicates and shared keys are common.
+        let pairs: Vec<(DataKey, VersionId)> = cells
+            .into_iter()
+            .map(|c| (DataKey::new(c / 6), VersionId::from_bits(u128::from(c % 6))))
+            .collect();
+        let collected: StoreDigest = pairs.iter().copied().collect();
+        // Same set, another insertion order, built by `insert` on a handle
+        // that shares (then un-shares) storage with a clone.
+        let mut rotated = pairs.clone();
+        rotated.rotate_left(rotate.min(pairs.len()));
+        let mut inserted = StoreDigest::new();
+        let mut clones = Vec::new();
+        for (k, h) in rotated {
+            clones.push(inserted.clone());
+            inserted.insert(k, h);
+        }
+        prop_assert_eq!(&collected, &inserted);
+        prop_assert_eq!(collected.cmp(&inserted), std::cmp::Ordering::Equal);
+        prop_assert!(collected.pairs().windows(2).all(|w| w[0] < w[1]));
+        let request = |digest: &StoreDigest| {
+            rumor::wire::encode_frame(&rumor::core::Message::PullRequest { digest: digest.clone() })
+        };
+        prop_assert_eq!(request(&collected), request(&inserted));
+    }
+
     #[test]
     fn lineage_relation_is_antisymmetric(seed in 0u64..5_000, a in 0usize..6, b in 0usize..6) {
         let base = lineage_from(seed, a.min(b));

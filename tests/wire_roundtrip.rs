@@ -9,7 +9,7 @@ use rumor::baselines::{DemersMsg, FloodMsg};
 use rumor::core::{Lineage, Message, PartialList, PushMessage, StoreDigest, Update, Value};
 use rumor::types::{DataKey, PeerId, UpdateId, VersionId};
 use rumor::wire::{
-    decode_frame, encode_frame, frame_len, WireError, FRAME_HEADER_BYTES, WIRE_VERSION,
+    decode_frame, encode_frame, frame_len, Frame, WireError, FRAME_HEADER_BYTES, WIRE_VERSION,
 };
 
 fn rng(seed: u64) -> ChaCha8Rng {
@@ -32,6 +32,31 @@ fn update(seed: u64, depth: usize, tombstone: bool, payload_len: usize) -> Updat
     }
 }
 
+/// The frame kind of `Message::PullRequest`.
+const KIND_PULL_REQUEST: u8 = 2;
+
+/// What the `PullRequest` body decoder did before digests were flat: one
+/// `StoreDigest::insert` per head as it is read. `None` = the body is
+/// truncated or over-long, which the real decoder must reject too.
+fn reference_pull_request_digest(mut body: &[u8]) -> Option<StoreDigest> {
+    fn take<const N: usize>(body: &mut &[u8]) -> Option<[u8; N]> {
+        let (head, rest) = body.split_first_chunk::<N>()?;
+        *body = rest;
+        Some(*head)
+    }
+    let mut digest = StoreDigest::new();
+    for _ in 0..u32::from_be_bytes(take(&mut body)?) {
+        let key = DataKey::new(u64::from_be_bytes(take(&mut body)?));
+        for _ in 0..u16::from_be_bytes(take(&mut body)?) {
+            digest.insert(
+                key,
+                VersionId::from_bits(u128::from_be_bytes(take(&mut body)?)),
+            );
+        }
+    }
+    body.is_empty().then_some(digest)
+}
+
 fn roundtrip(msg: &Message) {
     let frame = encode_frame(msg);
     assert_eq!(frame.len(), frame_len(msg), "sizer must be exact");
@@ -40,6 +65,59 @@ fn roundtrip(msg: &Message) {
 }
 
 proptest! {
+    #[test]
+    fn pull_request_decode_is_total_over_arbitrary_bodies(
+        // Groups drawn from a tiny key/head space, so unsorted heads,
+        // duplicate heads, repeated keys and zero-head keys are the norm.
+        cells in proptest::collection::vec(0u32..4_096, 0..12),
+        // The stated group count: honest, off by one, or absurd.
+        count_skew in proptest::sample::select(vec![0i64, 0, 0, 1, -1, 70_000, i64::from(u32::MAX)]),
+        // Arbitrary bytes spliced over the body, and a cut somewhere in it.
+        noise in proptest::collection::vec(any::<u8>(), 0..24),
+        noise_at in 0usize..800,
+        keep in 0usize..512,
+    ) {
+        let mut body = Vec::new();
+        let stated = (cells.len() as i64 + count_skew).clamp(0, i64::from(u32::MAX)) as u32;
+        body.extend_from_slice(&stated.to_be_bytes());
+        for cell in &cells {
+            let heads = cell % 4;
+            body.extend_from_slice(&u64::from(cell / 4 % 4).to_be_bytes());
+            body.extend_from_slice(&(heads as u16).to_be_bytes());
+            for h in 0..heads {
+                body.extend_from_slice(&u128::from((cell / 16 + h * 7) % 5).to_be_bytes());
+            }
+        }
+        for (i, byte) in noise.iter().enumerate() {
+            if let Some(slot) = body.get_mut(noise_at + i) {
+                *slot = *byte;
+            }
+        }
+        if count_skew == 1 {
+            body.truncate(keep.min(body.len()));
+        }
+        let header = Frame::new(KIND_PULL_REQUEST, body.len());
+        let mut frame = vec![header.version, header.kind];
+        frame.extend_from_slice(&header.payload_len.to_be_bytes());
+        frame.extend_from_slice(&body);
+
+        // Never a panic; a typed error exactly where the insert loop
+        // failed, the insert loop's digest otherwise.
+        let decoded = decode_frame::<Message>(&frame);
+        match reference_pull_request_digest(&body) {
+            None => prop_assert!(decoded.is_err()),
+            Some(digest) => {
+                prop_assert!(digest.pairs().windows(2).all(|w| w[0] < w[1]));
+                let msg = Message::PullRequest { digest };
+                prop_assert_eq!(decoded.as_ref(), Ok(&msg));
+                // Canonical re-encoding: exact size, a fixed point.
+                let again = encode_frame(&msg);
+                prop_assert_eq!(again.len(), frame_len(&msg));
+                prop_assert_eq!(decode_frame::<Message>(&again).as_ref(), Ok(&msg));
+            }
+        }
+    }
+
     #[test]
     fn push_roundtrips_any_list_and_lineage(
         seed in 0u64..10_000,
