@@ -31,6 +31,12 @@ fn bench_lineage(c: &mut Criterion) {
     });
 }
 
+/// The benchmark's wide-list shape (`engine-paper-offline`: ~230 of 1200
+/// ids per list, here 256), ids scattered over the population.
+fn wide_list_peers() -> Vec<PeerId> {
+    (0..256u32).map(|i| PeerId::new(i * 757 % 1_200)).collect()
+}
+
 fn bench_partial_list(c: &mut Criterion) {
     let big = PartialList::from_peers((0..1_000).map(PeerId::new));
     let small = PartialList::from_peers((500..600).map(PeerId::new));
@@ -46,6 +52,25 @@ fn bench_partial_list(c: &mut Criterion) {
     });
     c.bench_function("partial_list/contains_1000", |b| {
         b.iter(|| std::hint::black_box(big.contains(PeerId::new(999))))
+    });
+
+    // A union that adds nothing, as a duplicate copy's list mostly does,
+    // and a build from scattered ids.
+    let scattered = wide_list_peers();
+    let wide = PartialList::from_peers(scattered.iter().copied());
+    let covered = PartialList::from_peers(scattered.iter().rev().step_by(2).copied());
+    c.bench_function("partial_list/union_covered_256", |b| {
+        b.iter_batched(
+            || wide.clone(),
+            |mut l| {
+                l.union_with(&covered);
+                l
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    c.bench_function("partial_list/from_peers_256", |b| {
+        b.iter(|| std::hint::black_box(PartialList::from_peers(scattered.iter().copied())))
     });
 }
 
@@ -142,6 +167,21 @@ fn bench_message_codec(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(decode_frame::<Message>(&encoded).expect("valid")))
     });
 
+    let wide = Message::Push(PushMessage {
+        update: Update::write(
+            DataKey::new(1),
+            Lineage::root(&mut r).child(&mut r),
+            Value::from("some update payload bytes"),
+            PeerId::new(1),
+        ),
+        push_round: 3,
+        flood_list: PartialList::from_peers(wide_list_peers()),
+    });
+    let encoded_wide = encode_frame(&wide);
+    c.bench_function("message/decode_push_list256", |b| {
+        b.iter(|| std::hint::black_box(decode_frame::<Message>(&encoded_wide).expect("valid")))
+    });
+
     let pull = Message::PullRequest {
         digest: sixteen_key_stores(&mut r).1.digest(),
     };
@@ -167,7 +207,7 @@ fn bench_peer_handle(c: &mut Criterion) {
         PeerId::new(1),
     );
     let msg = Message::Push(PushMessage {
-        update,
+        update: update.clone(),
         push_round: 1,
         flood_list: PartialList::from_peers((0..20).map(PeerId::new)),
     });
@@ -187,6 +227,38 @@ fn bench_peer_handle(c: &mut Criterion) {
                     &mut out,
                 );
                 std::hint::black_box(out)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    // A duplicate copy in the offline regime: the update is processed,
+    // every id of the 256-entry list is known — learn, count, return.
+    let duplicate = Message::Push(PushMessage {
+        update,
+        push_round: 2,
+        flood_list: PartialList::from_peers(wide_list_peers()),
+    });
+    let wide_config = ProtocolConfig::builder(1_200)
+        .fanout_absolute(4)
+        .build()
+        .expect("valid");
+    c.bench_function("peer/handle_duplicate_push_list256", |b| {
+        let mut p = ReplicaPeer::new(PeerId::new(0), wide_config.clone());
+        p.learn_replicas((1..1_200).map(PeerId::new));
+        let (mut local, mut out) = (rng(), EffectSink::new());
+        p.on_message(
+            PeerId::new(1),
+            msg.clone(),
+            Round::new(1),
+            &mut local,
+            &mut out,
+        );
+        b.iter_batched(
+            || duplicate.clone(),
+            |copy| {
+                out.clear();
+                p.on_message(PeerId::new(2), copy, Round::new(2), &mut local, &mut out);
             },
             BatchSize::SmallInput,
         )

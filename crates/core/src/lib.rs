@@ -65,6 +65,7 @@ mod forward;
 mod message;
 mod partial_list;
 mod peer;
+mod peer_set;
 mod query;
 mod select;
 mod store;

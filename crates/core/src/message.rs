@@ -171,14 +171,22 @@ impl Message {
                 let update = take_update(buf, source)?;
                 let push_round = take_u32(buf)?;
                 let n = take_u32(buf)? as usize;
-                let mut flood_list = PartialList::new();
-                for _ in 0..n {
-                    flood_list.insert(PeerId::new(take_u32(buf)?));
+                // The count is untrusted: it must fit the bytes that are
+                // left, and the entries are sized and built from those
+                // bytes — linear in the body, repeats dropped.
+                if buf.len() / REPLICA_ENTRY_BYTES < n {
+                    return Err(CoreError::decode("truncated u32"));
                 }
+                let (ids, rest) = buf.split_at(n * REPLICA_ENTRY_BYTES);
+                *buf = rest;
+                let entries = ids
+                    .chunks_exact(REPLICA_ENTRY_BYTES)
+                    .map(|id| PeerId::new(u32::from_be_bytes([id[0], id[1], id[2], id[3]])))
+                    .collect();
                 Self::Push(PushMessage {
                     update,
                     push_round,
-                    flood_list,
+                    flood_list: PartialList::from_vec(entries),
                 })
             }
             TAG_PULL_REQUEST => {
@@ -435,6 +443,77 @@ mod tests {
     #[test]
     fn push_roundtrip() {
         framed_roundtrip(&sample_push(&mut rng()));
+    }
+
+    /// A hand-built `Push` body: a tombstone, then the stated list count
+    /// and the ids exactly as given — duplicate-free or not.
+    fn push_body(stated_count: u32, ids: impl IntoIterator<Item = u32>) -> BytesMut {
+        let update = Update::tombstone(DataKey::new(1), Lineage::root(&mut rng()), PeerId::new(0));
+        let mut body = BytesMut::new();
+        put_update(&mut body, &update);
+        body.put_u32(1); // push round
+        body.put_u32(stated_count);
+        for id in ids {
+            body.put_u32(id);
+        }
+        body
+    }
+
+    fn decoded_flood_list(body: &[u8]) -> PartialList {
+        match decode_frame::<Message>(&raw_frame(TAG_PUSH, body)) {
+            Ok(Message::Push(push)) => push.flood_list,
+            other => panic!("expected a push, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn push_decode_keeps_the_first_occurrence_of_a_repeated_id_in_wire_order() {
+        let ids = [7, u32::MAX, 3, 7, 0, u32::MAX, u32::MAX - 1, 3];
+        let list = decoded_flood_list(&push_body(ids.len() as u32, ids));
+        let order: Vec<u32> = list.iter().map(|p| p.as_u32()).collect();
+        assert_eq!(order, [7, u32::MAX, 3, 0, u32::MAX - 1]);
+        assert!(list.contains(PeerId::new(u32::MAX)));
+        assert!(list.index_words() <= list.len(), "index sized by entries");
+        // The canonical re-encoding round-trips unchanged.
+        framed_roundtrip(&Message::Push(PushMessage {
+            update: sample_update(&mut rng()),
+            push_round: 1,
+            flood_list: list,
+        }));
+    }
+
+    #[test]
+    fn push_decode_never_trusts_the_stated_count() {
+        // A count beyond what the payload holds is the truncation error,
+        // raised before any entry is read or any memory reserved for it.
+        for stated in [4, u32::MAX] {
+            assert_eq!(
+                decode_frame::<Message>(&raw_frame(TAG_PUSH, &push_body(stated, [1, 2, 3]))),
+                Err(WireError::malformed(
+                    CoreError::decode("truncated u32").to_string()
+                ))
+            );
+        }
+        // An under-stated count leaves bytes behind.
+        assert_eq!(
+            decode_frame::<Message>(&raw_frame(TAG_PUSH, &push_body(2, [1, 2, 3]))),
+            Err(WireError::TrailingBytes { count: 4 })
+        );
+    }
+
+    #[test]
+    fn push_decode_is_linear_in_a_million_entry_body() {
+        // One id per index word, highest first: an index built by one
+        // sorted insert per id would shift ~10^12 bytes here.
+        const N: u32 = 1_000_000;
+        let body = push_body(N, (0..N).rev().map(|i| i << 6));
+        let list = decoded_flood_list(&body);
+        assert_eq!(list.len(), N as usize);
+        assert_eq!(list.iter().next(), Some(PeerId::new((N - 1) << 6)));
+        assert!(list.contains(PeerId::new(0)) && !list.contains(PeerId::new(1)));
+        // The same ids twice over decode to the same list.
+        let doubled = push_body(2 * N, (0..N).rev().chain(0..N).map(|i| i << 6));
+        assert_eq!(decoded_flood_list(&doubled), list);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::digest::StoreDigest;
 use crate::forward::TuningSignals;
 use crate::message::{Message, PushMessage};
 use crate::partial_list::PartialList;
+use crate::peer_set::PeerSet;
 use crate::query::QueryAnswer;
 use crate::select::{select_targets_into, SelectScratch};
 use crate::store::ReplicaStore;
@@ -74,11 +75,14 @@ pub struct ReplicaPeer {
     id: PeerId,
     config: ProtocolConfig,
     store: ReplicaStore,
-    /// Known replicas, sorted, self excluded.
+    /// Known replicas, sorted, self excluded (target selection and its
+    /// random stream run over this order).
     known: Vec<PeerId>,
+    /// Membership of `known` plus this peer's own id: "nothing to learn
+    /// from this peer" is one bit test, from a whole flood list a
+    /// word-wise compare.
+    familiar: PeerSet,
     processed: BTreeMap<UpdateId, ProcessedState>,
-    /// Accumulated flooding list per update (union over received copies).
-    flood_lists: BTreeMap<UpdateId, PartialList>,
     /// Peers that acked recently: preferred targets (round of last ack).
     acked_by: BTreeMap<PeerId, Round>,
     /// Peers pushed to that have not acked: avoided until cool-off.
@@ -107,13 +111,15 @@ impl ReplicaPeer {
     /// known replicas; populate knowledge with
     /// [`ReplicaPeer::learn_replicas`].
     pub fn new(id: PeerId, config: ProtocolConfig) -> Self {
+        let mut familiar = PeerSet::default();
+        familiar.insert(id);
         Self {
             id,
             config,
             store: ReplicaStore::new(),
             known: Vec::new(),
+            familiar,
             processed: BTreeMap::new(),
-            flood_lists: BTreeMap::new(),
             acked_by: BTreeMap::new(),
             awaiting_ack: BTreeMap::new(),
             last_info_round: None,
@@ -133,16 +139,23 @@ impl ReplicaPeer {
     pub fn learn_replicas(&mut self, peers: impl IntoIterator<Item = PeerId>) -> usize {
         let mut new = 0;
         for p in peers {
-            if p == self.id {
-                continue;
-            }
-            if let Err(pos) = self.known.binary_search(&p) {
+            if self.familiar.insert(p) {
+                let pos = self.known.partition_point(|&k| k < p);
                 self.known.insert(pos, p);
                 new += 1;
             }
         }
         self.stats.replicas_discovered += new as u64;
         new
+    }
+
+    /// [`ReplicaPeer::learn_replicas`] over a flood list; a list naming
+    /// only familiar peers — nearly every one once membership has spread —
+    /// is dismissed without walking its entries.
+    fn learn_flood_list(&mut self, list: &PartialList) {
+        if !list.members().is_subset(&self.familiar) {
+            self.learn_replicas(list.iter());
+        }
     }
 
     /// The replica's identity.
@@ -236,7 +249,6 @@ impl ReplicaPeer {
         let mut flood_list = PartialList::from_peers([self.id]);
         flood_list.extend(targets.iter().copied());
         flood_list.truncate(&self.config.truncation, self.config.total_replicas, rng);
-        self.flood_lists.insert(update.id(), flood_list.clone());
 
         self.send_pushes(&update, 1, &flood_list, &targets, round, out);
         targets.clear();
@@ -374,6 +386,7 @@ impl ReplicaPeer {
                 Message::Push(PushMessage {
                     update: update.clone(),
                     push_round,
+                    // Every target shares the list's one allocation.
                     flood_list: flood_list.clone(),
                 }),
             );
@@ -389,59 +402,57 @@ impl ReplicaPeer {
         rng: &mut ChaCha8Rng,
         out: &mut EffectSink<Message>,
     ) {
+        let PushMessage {
+            update,
+            push_round,
+            flood_list: mut list,
+        } = push;
         // Learn replicas from the sender and the flood list (name-dropper
         // side channel, §1: "possibly discovers replicas unknown to her").
-        self.learn_replicas(push.flood_list.iter().chain([from]));
+        // This is all a copy's list is used for beyond the first copy's
+        // forwarding decision: an update is forwarded once (§3), so
+        // nothing is kept per update.
+        self.learn_flood_list(&list);
+        self.learn_replicas([from]);
 
-        let uid = push.update.id();
+        let uid = update.id();
+        let limit = self.config.ack.limit();
 
         if let Some(state) = self.processed.get_mut(&uid) {
             state.duplicates += 1;
             self.stats.duplicates_received += 1;
             // Ack duplicates only while the policy's budget allows; the
             // paper's FirstK policy counts distinct senders.
-            let limit = self.config.ack.limit();
-            let state = self.processed.get_mut(&uid).expect("just seen");
             if state.acks_sent < limit {
                 state.acks_sent += 1;
                 self.stats.acks_sent += 1;
                 out.send(from, Message::Ack { update_id: uid });
             }
-            // Merge lists from duplicate copies: keeps discovery flowing
-            // and sharpens coverage estimates (§4.2 optional trimming).
-            self.flood_lists
-                .entry(uid)
-                .or_default()
-                .union_with(&push.flood_list);
             return;
         }
 
         // First copy.
         self.stats.pushes_received += 1;
         self.note_info(round);
-        if self.store.apply(&push.update).changed() {
+        if self.store.apply(&update).changed() {
             self.stats.updates_via_push += 1;
         }
         let mut state = ProcessedState::default();
-        if self.config.ack.limit() > 0 {
+        if limit > 0 {
             state.acks_sent = 1;
             self.stats.acks_sent += 1;
             out.send(from, Message::Ack { update_id: uid });
         }
-        self.processed.insert(uid, state);
-
-        // Accumulate the flooding list.
-        let mut list = self.flood_lists.remove(&uid).unwrap_or_default();
-        list.union_with(&push.flood_list);
 
         // Forwarding decision: one PF(t) coin per update (paper §3
         // pseudocode flips once, then pushes to R_p \ R_f).
         let signals = TuningSignals {
-            duplicates: self.duplicates_of(uid),
+            duplicates: state.duplicates,
             list_coverage: list.normalized_len(self.config.total_replicas),
-            acks: self.processed[&uid].acks_received,
+            acks: state.acks_received,
         };
-        let pf = self.config.forward.probability(push.push_round, &signals);
+        self.processed.insert(uid, state);
+        let pf = self.config.forward.probability(push_round, &signals);
         let forward = pf > 0.0 && (pf >= 1.0 || rng.gen_bool(pf));
         if forward {
             self.stats.pushes_forwarded += 1;
@@ -468,14 +479,7 @@ impl ReplicaPeer {
             list.extend(r_p.iter().copied());
             list.insert(self.id);
             list.truncate(&self.config.truncation, self.config.total_replicas, rng);
-            self.send_pushes(
-                &push.update,
-                push.push_round + 1,
-                &list,
-                &targets,
-                round,
-                out,
-            );
+            self.send_pushes(&update, push_round + 1, &list, &targets, round, out);
             targets.clear();
             self.targets_scratch = targets;
             r_p.clear();
@@ -483,7 +487,6 @@ impl ReplicaPeer {
         } else {
             self.stats.forwards_suppressed += 1;
         }
-        self.flood_lists.insert(uid, list);
     }
 
     fn handle_pull_request(
@@ -823,6 +826,179 @@ mod tests {
         );
         assert_eq!(p.stats().duplicates_received, 1);
         assert_eq!(p.duplicates_of(update.id()), 1);
+    }
+
+    #[test]
+    fn duplicate_push_still_teaches_its_list_and_acks_within_the_first_k_budget() {
+        let config = ProtocolConfig::builder(100)
+            .ack(AckPolicy::FirstK(2))
+            .build()
+            .unwrap();
+        let mut p = ReplicaPeer::new(PeerId::new(0), config);
+        p.learn_replicas((1..10).map(PeerId::new));
+        let mut r = rng();
+        let update = Update::write(
+            DataKey::new(9),
+            Lineage::root(&mut r),
+            Value::from("v"),
+            PeerId::new(7),
+        );
+        let mut out = sink();
+        p.on_message(
+            PeerId::new(7),
+            push_msg(&update, 1, [7]),
+            Round::new(1),
+            &mut r,
+            &mut out,
+        );
+        let is_ack = |e: &Effect<Message>| {
+            matches!(
+                e,
+                Effect::Send {
+                    msg: Message::Ack { .. },
+                    ..
+                }
+            )
+        };
+        assert_eq!(out.iter().filter(|e| is_ack(e)).count(), 1, "first copy");
+
+        // Second copy: unseen ids in the list and an unseen sender.
+        let mut dup = sink();
+        p.on_message(
+            PeerId::new(50),
+            push_msg(&update, 2, [7, 60, 0, 61]),
+            Round::new(2),
+            &mut r,
+            &mut dup,
+        );
+        for id in [50, 60, 61] {
+            assert!(
+                p.known_replicas().contains(&PeerId::new(id)),
+                "learned {id}"
+            );
+        }
+        assert_eq!(p.stats().replicas_discovered, 9 + 3);
+        assert!(
+            matches!(dup[..], [Effect::Send { to, msg: Message::Ack { update_id } }]
+                if to == PeerId::new(50) && update_id == update.id()),
+            "second sender is acked and nothing is forwarded: {dup:?}"
+        );
+
+        // Third copy: the budget of two acks is spent.
+        dup.clear();
+        p.on_message(
+            PeerId::new(51),
+            push_msg(&update, 2, [62]),
+            Round::new(2),
+            &mut r,
+            &mut dup,
+        );
+        assert!(dup.is_empty(), "FirstK(2) budget spent: {dup:?}");
+        assert!(p.known_replicas().contains(&PeerId::new(62)));
+        assert_eq!(p.stats().acks_sent, 2);
+        assert_eq!(p.duplicates_of(update.id()), 2);
+    }
+
+    #[test]
+    fn two_hundred_duplicates_store_nothing_per_copy() {
+        let config = ProtocolConfig::builder(1_000)
+            .fanout_absolute(4)
+            .ack(AckPolicy::FirstK(3))
+            .build()
+            .unwrap();
+        let mut p = ReplicaPeer::new(PeerId::new(0), config);
+        p.learn_replicas((1..50).map(PeerId::new));
+        let mut r = rng();
+        let update = Update::write(
+            DataKey::new(9),
+            Lineage::root(&mut r),
+            Value::from("v"),
+            PeerId::new(7),
+        );
+        let mut out = sink();
+        p.on_message(
+            PeerId::new(7),
+            push_msg(&update, 1, [7, 3]),
+            Round::new(1),
+            &mut r,
+            &mut out,
+        );
+        let after_first = *p.stats();
+
+        // The reference: what 200 more copies may change is the duplicate
+        // and ack counters and the replicas their lists and senders name.
+        let mut expected_known: std::collections::BTreeSet<PeerId> =
+            p.known_replicas().iter().copied().collect();
+        let mut acks = 0;
+        for i in 0..200u32 {
+            let sender = 100 + i;
+            let list = [sender, 0, 7, 400 + i % 16, 40 + i % 20];
+            expected_known.extend(list.into_iter().map(PeerId::new));
+            out.clear();
+            p.on_message(
+                PeerId::new(sender),
+                push_msg(&update, 2 + i % 3, list),
+                Round::new(2),
+                &mut r,
+                &mut out,
+            );
+            for e in out.as_slice() {
+                assert!(
+                    matches!(e, Effect::Send { to, msg: Message::Ack { .. } }
+                        if *to == PeerId::new(sender)),
+                    "a duplicate may only ack its sender: {e:?}"
+                );
+                acks += 1;
+            }
+        }
+        expected_known.remove(&PeerId::new(0));
+        assert_eq!(acks, 2, "FirstK(3): the first copy took one of three");
+
+        let known: Vec<PeerId> = expected_known.into_iter().collect();
+        assert_eq!(p.known_replicas(), known);
+        assert_eq!(p.processed.len(), 1);
+        let state = &p.processed[&update.id()];
+        assert_eq!(
+            (state.duplicates, state.acks_sent, state.acks_received),
+            (200, 3, 0)
+        );
+        assert_eq!(
+            *p.stats(),
+            PeerStats {
+                duplicates_received: 200,
+                acks_sent: 3,
+                replicas_discovered: known.len() as u64,
+                ..after_first
+            }
+        );
+    }
+
+    #[test]
+    fn learning_the_largest_peer_id_costs_one_index_word() {
+        let mut p = peer_with(100, 0.05);
+        let before = p.familiar.word_count();
+        assert_eq!(before, 100usize.div_ceil(64));
+        assert_eq!(p.learn_replicas([PeerId::new(u32::MAX)]), 1);
+        assert_eq!(p.familiar.word_count(), before + 1);
+        // Through a flood list too, and a covered list teaches nothing.
+        let mut r = rng();
+        let update = Update::write(
+            DataKey::new(9),
+            Lineage::root(&mut r),
+            Value::from("v"),
+            PeerId::new(7),
+        );
+        let mut out = sink();
+        p.on_message(
+            PeerId::new(7),
+            push_msg(&update, 1, [7, u32::MAX - 64, u32::MAX]),
+            Round::new(1),
+            &mut r,
+            &mut out,
+        );
+        assert_eq!(p.familiar.word_count(), before + 2);
+        assert_eq!(p.known_replicas().len(), 99 + 2);
+        assert_eq!(p.stats().replicas_discovered, 99 + 2);
     }
 
     #[test]

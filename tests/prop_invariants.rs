@@ -5,11 +5,12 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rumor::analysis::{PfSchedule, PushModel, PushParams};
 use rumor::core::{
-    DiscardStrategy, Lineage, PartialList, ReplicaStore, StoreDigest, TruncationPolicy, Update,
-    Value, VersionRelation,
+    DiscardStrategy, Lineage, Message, PartialList, PushMessage, ReplicaStore, StoreDigest,
+    TruncationPolicy, Update, Value, VersionRelation,
 };
 use rumor::pgrid::Path;
 use rumor::types::{DataKey, PeerId, VersionId};
+use rumor::wire::encode_frame;
 
 fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
@@ -74,7 +75,134 @@ fn rebuilt_digest(store: &ReplicaStore) -> StoreDigest {
     digest
 }
 
+/// A peer id decoded from op bits: half from three small, colliding
+/// pools (low ids, ids around `u32::MAX`, ids one index word apart), half
+/// from anywhere in `u32`.
+fn peer_from(bits: u64) -> PeerId {
+    let small = (bits >> 8) as u32 % 40;
+    PeerId::new(match bits % 8 {
+        0 | 1 => small,
+        2 => u32::MAX - small,
+        3 => small << 6,
+        _ => (bits >> 32) as u32,
+    })
+}
+
+/// `count` peers derived from `bits`.
+fn peers_from(bits: u64, count: usize) -> Vec<PeerId> {
+    (0..count as u64)
+        .map(|i| peer_from(bits.rotate_left(7 * i as u32).wrapping_mul(2 * i + 1)))
+        .collect()
+}
+
+/// The flood-list tail of an encoded push: count, then the ids in order.
+fn list_wire_bytes(peers: &[PeerId]) -> Vec<u8> {
+    let mut bytes = (peers.len() as u32).to_be_bytes().to_vec();
+    for p in peers {
+        bytes.extend(p.as_u32().to_be_bytes());
+    }
+    bytes
+}
+
 proptest! {
+    #[test]
+    fn partial_list_agrees_with_a_linear_scan_model(
+        ops in proptest::collection::vec(any::<u64>(), 0..120),
+        seed in 0u64..1_000,
+    ) {
+        // The reference: a plain vector, `contains` a linear scan.
+        fn model_add(model: &mut Vec<PeerId>, peers: &[PeerId]) {
+            for &p in peers {
+                if !model.contains(&p) {
+                    model.push(p);
+                }
+            }
+        }
+        let update = Update::tombstone(DataKey::new(1), lineage_from(seed, 0), PeerId::new(0));
+        let mut list = PartialList::new();
+        let mut model: Vec<PeerId> = Vec::new();
+        let mut clones: Vec<(PartialList, Vec<PeerId>)> = Vec::new();
+        for (step, &op) in ops.iter().enumerate() {
+            let arg = op >> 3;
+            match op % 8 {
+                0 | 1 => {
+                    let p = peer_from(arg);
+                    prop_assert_eq!(list.insert(p), !model.contains(&p));
+                    model_add(&mut model, &[p]);
+                }
+                2 => {
+                    let peers = peers_from(arg, (arg % 24) as usize);
+                    list.extend(peers.iter().copied());
+                    model_add(&mut model, &peers);
+                }
+                3 => {
+                    let peers = peers_from(arg, (arg % 24) as usize);
+                    list.union_with(&PartialList::from_peers(peers.iter().copied()));
+                    model_add(&mut model, &peers);
+                }
+                4 => {
+                    // A covered list: every other entry, newest first.
+                    let covered: Vec<PeerId> = model.iter().rev().step_by(2).copied().collect();
+                    list.union_with(&covered.into_iter().collect());
+                }
+                5 => {
+                    let cap = (arg as usize >> 2) % (model.len() + 2);
+                    let discard = [
+                        DiscardStrategy::Head,
+                        DiscardStrategy::Tail,
+                        DiscardStrategy::Random,
+                    ][(arg % 3) as usize];
+                    let policy = TruncationPolicy::MaxEntries { cap, discard };
+                    let excess = model.len().saturating_sub(cap);
+                    prop_assert_eq!(list.truncate(&policy, 1_000, &mut rng(seed + op)), excess);
+                    match discard {
+                        DiscardStrategy::Head => drop(model.drain(..excess)),
+                        DiscardStrategy::Tail => model.truncate(model.len() - excess),
+                        DiscardStrategy::Random => {
+                            // The survivors are the list's choice; they must
+                            // be a subsequence of what was there.
+                            let mut before = model.iter();
+                            prop_assert!(list.iter().all(|p| before.any(|&m| m == p)));
+                            prop_assert_eq!(list.len(), model.len() - excess);
+                            model = list.iter().collect();
+                        }
+                    }
+                }
+                _ => clones.push((list.clone(), model.clone())),
+            }
+
+            prop_assert_eq!(list.iter().collect::<Vec<_>>(), model.clone(), "step {}", step);
+            prop_assert_eq!(list.len(), model.len());
+            prop_assert_eq!(list.is_empty(), model.is_empty());
+            for p in model.iter().copied().chain(peers_from(op, 8)) {
+                prop_assert_eq!(list.contains(p), model.contains(&p), "{:?}", p);
+            }
+            let rebuilt = PartialList::from_peers(model.iter().copied());
+            prop_assert_eq!(&list, &rebuilt);
+            prop_assert_eq!(list.index_words(), rebuilt.index_words());
+            prop_assert!(list.index_words() <= list.len(), "index bounded by entries");
+            if let Some(&last) = model.last() {
+                let shorter = PartialList::from_peers(model[..model.len() - 1].iter().copied());
+                prop_assert!(list != shorter);
+                let mut reordered = PartialList::from_peers([last]);
+                reordered.extend(model.iter().copied());
+                prop_assert_eq!(list == reordered, model.len() == 1);
+            }
+            let frame = encode_frame(&Message::Push(PushMessage {
+                update: update.clone(),
+                push_round: 1,
+                flood_list: list.clone(),
+            }));
+            prop_assert!(frame.ends_with(&list_wire_bytes(&model)), "wire bytes");
+            // Copy-on-write: no earlier clone has moved.
+            for (clone, at_clone) in &clones {
+                prop_assert_eq!(&clone.iter().collect::<Vec<_>>(), at_clone);
+                prop_assert!(at_clone.iter().all(|&p| clone.contains(p)));
+                prop_assert!(clone.index_words() <= clone.len());
+            }
+        }
+    }
+
     #[test]
     fn maintained_digest_is_a_pure_function_of_the_stored_versions(
         seed in 0u64..2_000,
