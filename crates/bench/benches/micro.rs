@@ -118,6 +118,15 @@ fn bench_store(c: &mut Criterion) {
     c.bench_function("store/missing_updates_one_behind_16_keys", |b| {
         b.iter(|| std::hint::black_box(current.missing_updates_for(&one_behind)))
     });
+    // The same two questions asked the wire-v2 way: by state fingerprint,
+    // answered from the apply history.
+    let (in_sync, one_behind) = (current.fingerprint(), behind.fingerprint());
+    c.bench_function("store/delta_in_sync", |b| {
+        b.iter(|| std::hint::black_box(current.delta_for(in_sync)))
+    });
+    c.bench_function("store/delta_one_behind", |b| {
+        b.iter(|| std::hint::black_box(current.delta_for(one_behind)))
+    });
 }
 
 /// Two 16-key stores, one version per key: the second has applied one

@@ -116,8 +116,9 @@ pub fn bench_paper_config(population: usize) -> ProtocolConfig {
 }
 
 /// The same paper-peer configuration with digest-delta pulls enabled —
-/// the wire-v2 contender (pull requests quote a sync mark and answers
-/// carry only the missing suffix instead of the full digest).
+/// the wire-v2 contender (pull requests name the store's state by its
+/// 8-byte fingerprint and answers carry only what that state lacks
+/// instead of the full digest).
 pub fn bench_paper_config_v2(population: usize) -> ProtocolConfig {
     ProtocolConfig::builder(population)
         .fanout_absolute(4)

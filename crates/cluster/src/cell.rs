@@ -145,8 +145,13 @@ pub(crate) struct NodeCell<N: Node> {
     byz: Option<ByzantineState<N::Msg>>,
     wire: WireVersion,
     /// Wire-v2 send staging: `(target, message)` pairs accumulated over
-    /// one tick, flushed per peer as (batch) frames at the tick's end.
-    outbox: Vec<(PeerId, N::Msg)>,
+    /// one tick, flushed per peer as (batch) frames at the tick's end
+    /// (a flushed message leaves `None` behind until the buffer is
+    /// cleared). Kept, like `group_scratch`, across ticks: a steady-state
+    /// flush allocates nothing.
+    outbox: Vec<(PeerId, Option<N::Msg>)>,
+    /// The one per-peer group being emitted by [`Self::flush_outbox`].
+    group_scratch: Vec<N::Msg>,
     decode_scratch: Vec<N::Msg>,
     retained_scratch: Vec<Envelope>,
     due_scratch: Vec<(u32, u64)>,
@@ -180,6 +185,7 @@ where
             byz: None,
             wire: WireVersion::V1,
             outbox: Vec::new(),
+            group_scratch: Vec::new(),
             decode_scratch: Vec::new(),
             retained_scratch: Vec::new(),
             due_scratch: Vec::new(),
@@ -248,7 +254,7 @@ where
         for effect in sink.drain() {
             match effect {
                 Effect::Send { to, msg } if self.wire == WireVersion::V2 => {
-                    self.outbox.push((to, msg));
+                    self.outbox.push((to, Some(msg)));
                 }
                 Effect::Send { to, mut msg } => {
                     self.emit(
@@ -288,17 +294,26 @@ where
         if self.outbox.is_empty() {
             return;
         }
-        let staged = std::mem::take(&mut self.outbox);
-        let mut groups: Vec<(PeerId, Vec<N::Msg>)> = Vec::new();
-        for (to, msg) in staged {
-            match groups.iter_mut().find(|(peer, _)| *peer == to) {
-                Some((_, group)) => group.push(msg),
-                None => groups.push((to, vec![msg])),
+        let mut staged = std::mem::take(&mut self.outbox);
+        let mut group = std::mem::take(&mut self.group_scratch);
+        for first in 0..staged.len() {
+            // A target's whole group left with its first send.
+            if staged[first].1.is_none() {
+                continue;
             }
+            let to = staged[first].0;
+            group.extend(
+                staged[first..]
+                    .iter_mut()
+                    .filter(|(peer, _)| *peer == to)
+                    .filter_map(|(_, msg)| msg.take()),
+            );
+            self.emit(to, &mut group, now, deliver_from, dispatch);
+            group.clear();
         }
-        for (to, mut msgs) in groups {
-            self.emit(to, &mut msgs, now, deliver_from, dispatch);
-        }
+        staged.clear();
+        self.outbox = staged;
+        self.group_scratch = group;
     }
 
     /// The one send site: puts the group `msgs` bound for `to` on the
@@ -1029,7 +1044,8 @@ mod tests {
     }
 
     /// Fan-out node: on round start, sends `copies` messages to peer 1
-    /// and one to peer 2 (exercising per-peer grouping).
+    /// and — after the first of them — one to peer 2 (exercising per-peer
+    /// grouping of interleaved sends).
     struct FanOut {
         id: PeerId,
         copies: u32,
@@ -1057,10 +1073,14 @@ mod tests {
             _rng: &mut ChaCha8Rng,
             out: &mut EffectSink<Num>,
         ) {
-            for n in 0..self.copies {
+            let mut copies = 0..self.copies;
+            if let Some(n) = copies.next() {
                 out.send(PeerId::new(1), Num(n));
             }
             out.send(PeerId::new(2), Num(99));
+            for n in copies {
+                out.send(PeerId::new(1), Num(n));
+            }
         }
     }
 
@@ -1099,6 +1119,22 @@ mod tests {
         assert_eq!(decode_frame::<Num>(&out[1].1.frame).unwrap(), Num(99));
         // Header amortisation: the batch undercuts sixteen lone frames.
         assert!(out[0].1.frame.len() < 16 * encode_frame(&Num(0)).len());
+        // The next tick frames the same bytes out of the same two staging
+        // buffers: a steady-state flush allocates nothing.
+        let capacities = (c.outbox.capacity(), c.group_scratch.capacity());
+        let mut again = Vec::new();
+        c.tick(1, true, &PerfectLinks, &mut |to, env| again.push((to, env)));
+        let frames = |sent: &[(PeerId, Envelope)]| -> Vec<(PeerId, Bytes)> {
+            sent.iter()
+                .map(|(to, env)| (*to, env.frame.clone()))
+                .collect()
+        };
+        assert_eq!(frames(&again), frames(&out));
+        assert!(c.outbox.is_empty() && c.group_scratch.is_empty());
+        assert_eq!(
+            (c.outbox.capacity(), c.group_scratch.capacity()),
+            capacities
+        );
     }
 
     #[test]

@@ -65,10 +65,11 @@ pub struct PullConfig {
     /// Maximum pull retries per trigger.
     pub max_retries: u32,
     /// Wire-v2 digest-delta pulls: instead of shipping the full store
-    /// digest, ask each peer "what changed since journal mark X" and
-    /// receive only the missing suffix — O(delta) response bytes instead
-    /// of O(store) request + response. Off by default; the full-digest
-    /// exchange remains the v1-compatible path.
+    /// digest, name the store's state by its 8-byte digest fingerprint
+    /// and receive what the responder's apply history says that state
+    /// lacks — O(delta) response bytes instead of O(store) request +
+    /// response. Off by default; the full-digest exchange remains the
+    /// v1-compatible path.
     pub delta: bool,
 }
 

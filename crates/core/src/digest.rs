@@ -16,6 +16,17 @@
 //!   **immutable once cloned**: a mutation through one handle copies the
 //!   array first ([`Arc::make_mut`]), so a digest already moved into a
 //!   message never observes a later change to the store it came from.
+//! * The **fingerprint** is a pure function of the pair set: the wrapping
+//!   sum of a 64-bit mix of every `(key, head)` pair. [`StoreDigest::insert`]
+//!   and [`StoreDigest::remove`] are the only mutators and each adjusts it
+//!   by the one pair it changes, so it costs O(1) per store apply, is
+//!   independent of insertion order, and a cloned digest keeps its own.
+//!   Equal sets always have equal fingerprints; two *different* sets share
+//!   one with probability 2⁻⁶⁴ each time two are compared — about 10⁻¹²
+//!   over the ~10⁷ comparisons of a million-pull run — and such a
+//!   collision only makes one wire-v2 pull answer too little, which the
+//!   next pull to any other replica, or after any apply on either side,
+//!   repairs (see [`crate::store`]).
 
 use rumor_types::{DataKey, VersionId};
 use serde::{Deserialize, Serialize};
@@ -44,6 +55,27 @@ use std::sync::Arc;
 pub struct StoreDigest {
     /// Strictly ascending; see the module invariants.
     pairs: Arc<Vec<(DataKey, VersionId)>>,
+    /// Wrapping sum of [`mix`] over `pairs`; see the module invariants.
+    fingerprint: u64,
+}
+
+/// splitmix64's finaliser: a bijection on `u64` in which every input bit
+/// reaches every output bit.
+const fn avalanche(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// One pair's share of the fingerprint: the key folded into the head's
+/// high half, then the low half, each through [`avalanche`] — pairs that
+/// differ in any one field never share a value, and honest heads (128
+/// random bits) make any other coincidence a 2⁻⁶⁴ event. The golden-ratio
+/// offset keeps the all-zero pair from contributing 0.
+const fn mix(key: DataKey, head: VersionId) -> u64 {
+    let head = head.to_bits();
+    let keyed = key.as_u64().wrapping_add(0x9E37_79B9_7F4A_7C15);
+    avalanche(avalanche(keyed ^ (head >> 64) as u64) ^ head as u64)
 }
 
 impl StoreDigest {
@@ -60,8 +92,12 @@ impl StoreDigest {
             pairs.sort_unstable();
             pairs.dedup();
         }
+        let fingerprint = pairs
+            .iter()
+            .fold(0u64, |sum, &(key, head)| sum.wrapping_add(mix(key, head)));
         Self {
             pairs: Arc::new(pairs),
+            fingerprint,
         }
     }
 
@@ -69,6 +105,7 @@ impl StoreDigest {
     pub fn insert(&mut self, key: DataKey, head: VersionId) {
         if let Err(pos) = self.pairs.binary_search(&(key, head)) {
             Arc::make_mut(&mut self.pairs).insert(pos, (key, head));
+            self.fingerprint = self.fingerprint.wrapping_add(mix(key, head));
         }
     }
 
@@ -77,6 +114,7 @@ impl StoreDigest {
     pub(crate) fn remove(&mut self, key: DataKey, head: VersionId) {
         if let Ok(pos) = self.pairs.binary_search(&(key, head)) {
             Arc::make_mut(&mut self.pairs).remove(pos);
+            self.fingerprint = self.fingerprint.wrapping_sub(mix(key, head));
         }
     }
 
@@ -103,6 +141,13 @@ impl StoreDigest {
     /// Every `(key, head)` pair, strictly ascending.
     pub fn pairs(&self) -> &[(DataKey, VersionId)] {
         &self.pairs
+    }
+
+    /// The 64-bit order-independent fingerprint of the pair set (0 for the
+    /// empty digest) — what a wire-v2 `PullSince` names the requester's
+    /// state by. See the module invariants for what equality means.
+    pub const fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 }
 
@@ -206,5 +251,41 @@ mod tests {
         d.remove(DataKey::new(1), v(1));
         assert_eq!(in_flight.pairs(), [(DataKey::new(1), v(1))]);
         assert_eq!(d.pairs(), [(DataKey::new(2), v(2))]);
+    }
+
+    #[test]
+    fn fingerprint_is_a_function_of_the_pair_set() {
+        assert_eq!(StoreDigest::new().fingerprint(), 0);
+        let pairs = [(0u64, 0u128), (0, 1), (1, 0), (7, u128::MAX), (u64::MAX, 7)];
+        // One mutator call at a time, in two different orders, and in bulk.
+        let mut forward = StoreDigest::new();
+        let mut seen = vec![0];
+        for (key, bits) in pairs {
+            forward.insert(DataKey::new(key), v(bits));
+            forward.insert(DataKey::new(key), v(bits));
+            assert!(
+                !seen.contains(&forward.fingerprint()),
+                "every state differs"
+            );
+            seen.push(forward.fingerprint());
+        }
+        let mut backward = StoreDigest::new();
+        for (key, bits) in pairs.into_iter().rev() {
+            backward.insert(DataKey::new(key), v(bits));
+        }
+        let bulk: StoreDigest = pairs
+            .into_iter()
+            .map(|(key, bits)| (DataKey::new(key), v(bits)))
+            .collect();
+        assert_eq!(forward.fingerprint(), backward.fingerprint());
+        assert_eq!(forward.fingerprint(), bulk.fingerprint());
+        // Removal walks the same states back; a clone keeps its own.
+        let in_flight = forward.clone();
+        for ((key, bits), before) in pairs.into_iter().zip(&seen).rev() {
+            forward.remove(DataKey::new(key), v(bits));
+            forward.remove(DataKey::new(key), v(bits));
+            assert_eq!(forward.fingerprint(), *before);
+        }
+        assert_eq!(in_flight.fingerprint(), bulk.fingerprint());
     }
 }

@@ -83,7 +83,7 @@ pub use partial_list::{DiscardStrategy, PartialList, TruncationPolicy};
 pub use peer::{PeerStats, ReplicaPeer};
 pub use query::{QueryAnswer, QueryPolicy};
 pub use select::{select_targets, select_targets_into, SelectScratch};
-pub use store::{ApplyOutcome, ReplicaStore, StoredVersion};
+pub use store::{ApplyOutcome, DeltaAnswer, ReplicaStore, StoredVersion};
 pub use update::Update;
 pub use value::Value;
 pub use version::{Lineage, VersionRelation};

@@ -64,21 +64,29 @@ pub enum Message {
         /// Which update event is acknowledged.
         update_id: UpdateId,
     },
-    /// Wire-v2 incremental pull: "send me what changed since your
-    /// journal mark `since`" — a constant 8 bytes replacing the
-    /// O(store) digest of [`Message::PullRequest`].
+    /// Wire-v2 incremental pull: "this is the state I am in, send me what
+    /// it lacks" — a constant 8 bytes replacing the O(store) digest of
+    /// [`Message::PullRequest`].
     PullSince {
-        /// The responder-local journal mark the requester last synced to
-        /// (0 = everything).
+        /// The [fingerprint](StoreDigest::fingerprint) of the requester's
+        /// own digest (0 = an empty store). It names the requester's
+        /// state, not a position in anything the responder keeps, so it
+        /// means the same to every responder.
         since: u64,
     },
-    /// Wire-v2 reply to [`Message::PullSince`]: only the suffix of
-    /// changes past the quoted mark, plus the responder's new mark.
+    /// Wire-v2 reply to [`Message::PullSince`]: what the responder's apply
+    /// history says the named state lacks (see
+    /// [`ReplicaStore::delta_for`](crate::ReplicaStore::delta_for)).
     DeltaResponse {
-        /// The responder's journal mark after this delta; quote it in
-        /// the next [`Message::PullSince`].
+        /// The fingerprint of the responder's digest when it answered.
+        /// Informational: a requester names its own state in its next
+        /// pull and stores nothing from an answer, so a false `upto`
+        /// misleads nobody.
         upto: u64,
-        /// Frontier versions of every key changed since the quoted mark.
+        /// Nothing when the named state is the responder's own; the
+        /// frontier versions of every key it changed since it was in that
+        /// state; or, for a state it does not remember, its whole
+        /// frontier. Always a superset of the digest diff.
         updates: Vec<Update>,
     },
 }
@@ -206,29 +214,19 @@ impl Message {
                     digest: StoreDigest::from_pairs(pairs),
                 }
             }
-            TAG_PULL_RESPONSE => {
-                let n = take_u32(buf)? as usize;
-                let mut updates = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    updates.push(take_update(buf, source)?);
-                }
-                Self::PullResponse { updates }
-            }
+            TAG_PULL_RESPONSE => Self::PullResponse {
+                updates: take_updates(buf, source)?,
+            },
             TAG_ACK => Self::Ack {
                 update_id: UpdateId::from_bits(take_u128(buf)?),
             },
             TAG_PULL_SINCE => Self::PullSince {
                 since: take_u64(buf)?,
             },
-            TAG_DELTA_RESPONSE => {
-                let upto = take_u64(buf)?;
-                let n = take_u32(buf)? as usize;
-                let mut updates = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    updates.push(take_update(buf, source)?);
-                }
-                Self::DeltaResponse { upto, updates }
-            }
+            TAG_DELTA_RESPONSE => Self::DeltaResponse {
+                upto: take_u64(buf)?,
+                updates: take_updates(buf, source)?,
+            },
             other => return Err(CoreError::decode(format!("unknown message tag {other}"))),
         })
     }
@@ -334,6 +332,25 @@ fn put_update(buf: &mut BytesMut, u: &Update) {
         }
         None => buf.put_u8(0),
     }
+}
+
+/// The smallest encoded update: a tombstone with a one-id lineage.
+const MIN_UPDATE_BYTES: usize = 8 + 4 + 2 + 16 + 1;
+
+/// Reads a counted update list (the body of both pull answers). The count
+/// is untrusted: one the remaining bytes cannot hold is rejected before
+/// anything is reserved for it, so the reservation is bounded by the
+/// payload — exact for an honest list of smallest updates.
+fn take_updates(buf: &mut &[u8], source: Option<&Bytes>) -> Result<Vec<Update>, CoreError> {
+    let n = take_u32(buf)? as usize;
+    if buf.len() / MIN_UPDATE_BYTES < n {
+        return Err(CoreError::decode("truncated update list"));
+    }
+    let mut updates = Vec::with_capacity(n);
+    for _ in 0..n {
+        updates.push(take_update(buf, source)?);
+    }
+    Ok(updates)
 }
 
 fn take_update(buf: &mut &[u8], source: Option<&Bytes>) -> Result<Update, CoreError> {

@@ -8,7 +8,7 @@ use crate::partial_list::PartialList;
 use crate::peer_set::PeerSet;
 use crate::query::QueryAnswer;
 use crate::select::{select_targets_into, SelectScratch};
-use crate::store::ReplicaStore;
+use crate::store::{DeltaAnswer, ReplicaStore};
 use crate::update::Update;
 use crate::value::Value;
 use crate::version::Lineage;
@@ -55,6 +55,19 @@ pub struct PeerStats {
     pub updates_via_pull: u64,
     /// Previously unknown replicas learned from flood lists/senders.
     pub replicas_discovered: u64,
+    /// Wire-v2 pulls served with nothing: the requester named this
+    /// replica's current state.
+    pub delta_in_sync: u64,
+    /// Wire-v2 pulls served from the apply history (the keys touched
+    /// since the state the requester named).
+    pub delta_suffix: u64,
+    /// Wire-v2 pulls served with the whole frontier: the named state was
+    /// not in the history.
+    pub delta_full: u64,
+    /// The deepest history hit so far, in applies (not a counter: a
+    /// high-water mark, so folding replicas takes the maximum). What the
+    /// store's ring length is checked against.
+    pub delta_max_depth: u64,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -91,10 +104,6 @@ pub struct ReplicaPeer {
     confident: bool,
     online: bool,
     pull_retries_left: u32,
-    /// Wire-v2 delta pulls: per-responder journal mark this peer has
-    /// synced to (advanced only by received [`Message::DeltaResponse`]s,
-    /// so a lost response merely re-sends — never skips — updates).
-    peer_sync: BTreeMap<PeerId, u64>,
     stats: PeerStats,
     /// Reusable tier buffers for target selection (hot path).
     select_scratch: SelectScratch,
@@ -126,7 +135,6 @@ impl ReplicaPeer {
             confident: true,
             online: true,
             pull_retries_left: 0,
-            peer_sync: BTreeMap::new(),
             stats: PeerStats::default(),
             select_scratch: SelectScratch::default(),
             targets_scratch: Vec::new(),
@@ -297,27 +305,19 @@ impl ReplicaPeer {
             &mut self.select_scratch,
             &mut targets,
         );
-        // Wire-v2 delta pulls quote each responder's last journal mark
-        // instead of shipping the full store digest — constant request
-        // size, O(delta) response. First contact (no mark yet) falls back
-        // to a digest pull: quoting `since = 0` would make the responder
-        // replay its entire journal, and flood lists keep introducing
-        // never-pulled peers, so at scale the replays would dwarf what
-        // the marks save. The responder answers a digest pull with a
-        // mark-carrying delta (see [`ReplicaPeer::handle_pull_request`]),
-        // so one exchange upgrades the pair to incremental syncs.
         for &to in &targets {
-            let mark = if self.config.pull.delta {
-                self.peer_sync.get(&to)
+            let request = if self.config.pull.delta {
+                // Wire v2 names this replica's state by its digest
+                // fingerprint: 8 bytes whatever the store holds, and
+                // nothing to remember per responder.
+                Message::PullSince {
+                    since: self.store.fingerprint(),
+                }
             } else {
-                None
-            };
-            let request = match mark {
-                Some(&since) => Message::PullSince { since },
                 // Every target shares the store's one digest allocation.
-                None => Message::PullRequest {
+                Message::PullRequest {
                     digest: self.store.digest(),
-                },
+                }
             };
             out.send(to, request);
         }
@@ -500,15 +500,7 @@ impl ReplicaPeer {
         self.stats.pull_requests_received += 1;
         self.learn_replicas([from]);
         let updates = self.store.missing_updates_for(digest);
-        if self.config.pull.delta {
-            // Answer with the same digest-diff but stamped with this
-            // replica's journal frontier, so the requester's sync mark
-            // populates and its next pull is an 8-byte `PullSince`.
-            let upto = self.store.journal_len();
-            out.send(from, Message::DeltaResponse { upto, updates });
-        } else {
-            out.send(from, Message::PullResponse { updates });
-        }
+        out.send(from, Message::PullResponse { updates });
         // §3: "receives a pull request, but is not sure to have the latest
         // update" — an unconfident pulled party itself enters the pull
         // phase.
@@ -531,11 +523,11 @@ impl ReplicaPeer {
         self.note_info(round);
     }
 
-    /// Serves a wire-v2 delta pull: answer with the journal suffix past
-    /// the quoted mark. Mirrors [`ReplicaPeer::handle_pull_request`]
-    /// including the §3 unconfident self-pull — and like it draws no
-    /// randomness, so delta and full-digest pulls stay trajectory-
-    /// equivalent on identical seeds.
+    /// Serves a wire-v2 delta pull: answers what the store's history
+    /// says the named state lacks (see [`ReplicaStore::delta_for`]).
+    /// Mirrors [`ReplicaPeer::handle_pull_request`] including the §3
+    /// unconfident self-pull — and like it draws no randomness, so delta
+    /// and full-digest pulls stay trajectory-equivalent on identical seeds.
     fn handle_pull_since(
         &mut self,
         from: PeerId,
@@ -546,19 +538,20 @@ impl ReplicaPeer {
     ) {
         self.stats.pull_requests_received += 1;
         self.learn_replicas([from]);
-        let (updates, upto) = self.store.delta_since(since);
+        let (answer, updates) = self.store.delta_for(since);
+        match answer {
+            DeltaAnswer::InSync => self.stats.delta_in_sync += 1,
+            DeltaAnswer::Suffix { depth } => {
+                self.stats.delta_suffix += 1;
+                self.stats.delta_max_depth = self.stats.delta_max_depth.max(depth as u64);
+            }
+            DeltaAnswer::Full => self.stats.delta_full += 1,
+        }
+        let upto = self.store.fingerprint();
         out.send(from, Message::DeltaResponse { upto, updates });
         if !self.confident {
             self.trigger_pull(round, rng, out);
         }
-    }
-
-    fn handle_delta_response(&mut self, from: PeerId, upto: u64, updates: &[Update], round: Round) {
-        // The sync mark only ever advances: a stale (reordered) response
-        // cannot roll it back into re-requesting already-synced history.
-        let mark = self.peer_sync.entry(from).or_insert(0);
-        *mark = (*mark).max(upto);
-        self.handle_pull_response(from, updates, round);
     }
 
     fn handle_ack(&mut self, from: PeerId, update_id: UpdateId, round: Round) {
@@ -591,11 +584,12 @@ impl Node for ReplicaPeer {
             Message::PullRequest { digest } => {
                 self.handle_pull_request(from, &digest, round, rng, out);
             }
-            Message::PullResponse { updates } => self.handle_pull_response(from, &updates, round),
             Message::Ack { update_id } => self.handle_ack(from, update_id, round),
             Message::PullSince { since } => self.handle_pull_since(from, since, round, rng, out),
-            Message::DeltaResponse { upto, updates } => {
-                self.handle_delta_response(from, upto, &updates, round);
+            // `upto` is not a cursor: the next pull names this replica's
+            // own state again, so nothing a responder says is remembered.
+            Message::PullResponse { updates } | Message::DeltaResponse { updates, .. } => {
+                self.handle_pull_response(from, &updates, round);
             }
         }
     }
@@ -1233,163 +1227,143 @@ mod tests {
         assert_eq!(fresh.stats().updates_via_pull, 1);
     }
 
-    #[test]
-    fn delta_pull_roundtrip_reconciles_and_resyncs_incrementally() {
-        let mut r = rng();
-        let source_config = ProtocolConfig::builder(10)
+    fn delta_peer(id: u32, known: impl IntoIterator<Item = u32>) -> ReplicaPeer {
+        let config = ProtocolConfig::builder(10)
             .fanout_fraction(0.2)
             .delta_pulls(true)
             .build()
             .unwrap();
-        let mut source = ReplicaPeer::new(PeerId::new(0), source_config);
-        source.learn_replicas((1..10).map(PeerId::new));
+        let mut p = ReplicaPeer::new(PeerId::new(id), config);
+        p.learn_replicas(known.into_iter().map(PeerId::new));
+        p
+    }
+
+    fn write_at(p: &mut ReplicaPeer, key: u64, r: &mut ChaCha8Rng) {
+        let value = Some(Value::from("data"));
+        p.initiate_update(DataKey::new(key), value, Round::ZERO, r, &mut sink());
+    }
+
+    /// One wire-v2 pull by `requester`: the request it sends `responder`,
+    /// answered, the answer undelivered.
+    fn delta_answer(
+        requester: &mut ReplicaPeer,
+        responder: &mut ReplicaPeer,
+        r: &mut ChaCha8Rng,
+    ) -> Message {
         let mut out = sink();
-        source.initiate_update(
-            DataKey::new(5),
-            Some(Value::from("data")),
-            Round::ZERO,
-            &mut r,
-            &mut out,
-        );
-
-        let config = ProtocolConfig::builder(10)
-            .delta_pulls(true)
-            .build()
-            .unwrap();
-        let mut fresh = ReplicaPeer::new(PeerId::new(9), config);
-        fresh.learn_replicas([PeerId::new(0)]);
-
-        // First contact (no sync mark for peer 0 yet) falls back to a
-        // digest pull rather than asking for a full journal replay.
-        let mut pulls = sink();
-        fresh.on_status_change(true, Round::new(3), &mut r, &mut pulls);
-        let digest = pulls
-            .iter()
-            .find_map(|e| match e {
-                Effect::Send {
-                    msg: Message::PullRequest { digest },
-                    ..
-                } => Some(digest.clone()),
-                _ => None,
-            })
-            .expect("first delta pull sends a digest PullRequest");
-
-        // A delta-enabled responder answers the digest pull with a
-        // mark-carrying delta, upgrading the pair to incremental syncs.
-        let mut responses = sink();
-        source.on_message(
-            PeerId::new(9),
-            Message::PullRequest { digest },
-            Round::new(3),
-            &mut r,
-            &mut responses,
-        );
-        let Effect::Send {
-            msg: Message::DeltaResponse { upto, updates },
-            ..
-        } = &responses[0]
-        else {
-            panic!("expected delta response, got {:?}", responses[0]);
-        };
-        assert_eq!(*upto, 1);
-        assert_eq!(updates.len(), 1);
-
-        // Fresh peer ingests it, advancing its sync mark for peer 0.
-        let mut ignored = sink();
-        fresh.on_message(
-            PeerId::new(0),
-            Message::DeltaResponse {
-                upto: *upto,
-                updates: updates.clone(),
-            },
-            Round::new(4),
-            &mut r,
-            &mut ignored,
-        );
-        assert!(fresh.is_confident());
+        requester.trigger_pull(Round::new(1), r, &mut out);
+        let request = out.iter().find_map(|e| match e {
+            Effect::Send { to, msg } if *to == responder.peer_id() => Some(msg.clone()),
+            _ => None,
+        });
+        let msg = request.expect("the responder is among the pull targets");
         assert_eq!(
-            fresh.store().get(DataKey::new(5)).unwrap().as_bytes(),
-            b"data"
+            msg,
+            Message::PullSince {
+                since: requester.store().fingerprint()
+            },
+            "a delta pull names the requester's own state, first contact included"
         );
-        assert_eq!(fresh.stats().updates_via_pull, 1);
-
-        // The next pull quotes the advanced mark; the source answers
-        // with an empty delta — O(delta), not O(store).
-        let mut again = sink();
-        fresh.trigger_pull(Round::new(5), &mut r, &mut again);
-        let since2 = again
-            .iter()
-            .find_map(|e| match e {
-                Effect::Send {
-                    msg: Message::PullSince { since },
-                    ..
-                } => Some(*since),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(since2, 1, "sync mark advanced");
-        let mut empty = sink();
-        source.on_message(
-            PeerId::new(9),
-            Message::PullSince { since: since2 },
-            Round::new(5),
-            &mut r,
-            &mut empty,
-        );
-        let Effect::Send {
-            msg: Message::DeltaResponse { updates, .. },
-            ..
-        } = &empty[0]
-        else {
-            panic!("expected delta response");
+        let mut answer = sink();
+        responder.on_message(requester.peer_id(), msg, Round::new(1), r, &mut answer);
+        let [Effect::Send { msg, .. }] = &answer[..] else {
+            panic!("expected one answer, got {answer:?}");
         };
-        assert!(updates.is_empty(), "nothing changed since the mark");
+        assert!(matches!(msg, Message::DeltaResponse { upto, .. }
+            if *upto == responder.store().fingerprint()));
+        msg.clone()
+    }
+
+    fn deliver(to: &mut ReplicaPeer, from: u32, msg: &Message, r: &mut ChaCha8Rng) {
+        to.on_message(
+            PeerId::new(from),
+            msg.clone(),
+            Round::new(2),
+            r,
+            &mut sink(),
+        );
     }
 
     #[test]
-    fn stale_delta_response_cannot_roll_back_the_sync_mark() {
-        let config = ProtocolConfig::builder(10)
-            .delta_pulls(true)
-            .build()
-            .unwrap();
-        let mut p = ReplicaPeer::new(PeerId::new(0), config);
-        p.learn_replicas([PeerId::new(1)]);
+    fn a_lost_duplicated_or_reordered_delta_response_leaves_nothing_the_next_pull_does_not_repair()
+    {
         let mut r = rng();
-        let mut out = sink();
-        p.on_message(
-            PeerId::new(1),
-            Message::DeltaResponse {
-                upto: 7,
-                updates: vec![],
-            },
-            Round::new(1),
-            &mut r,
-            &mut out,
-        );
-        // A delayed older response arrives afterwards.
-        p.on_message(
-            PeerId::new(1),
-            Message::DeltaResponse {
-                upto: 3,
-                updates: vec![],
-            },
-            Round::new(2),
-            &mut r,
-            &mut out,
-        );
-        out.clear();
-        p.trigger_pull(Round::new(3), &mut r, &mut out);
-        let since = out
-            .iter()
-            .find_map(|e| match e {
-                Effect::Send {
-                    msg: Message::PullSince { since },
-                    ..
-                } => Some(*since),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(since, 7, "mark is monotone");
+        let mut source = delta_peer(0, 1..9);
+        let mut fresh = delta_peer(9, [0]);
+        write_at(&mut source, 5, &mut r);
+
+        // Lost: the answer never arrives, the source moves on, and the
+        // next pull — naming the same state — is answered with both.
+        let lost = delta_answer(&mut fresh, &mut source, &mut r);
+        write_at(&mut source, 6, &mut r);
+        let second = delta_answer(&mut fresh, &mut source, &mut r);
+        assert_eq!(source.stats().delta_suffix, 2);
+        assert_eq!(source.stats().delta_max_depth, 2);
+
+        // Reordered and duplicated: the newer answer, then the older one
+        // that was only delayed, then the newer one again.
+        for answer in [&second, &lost, &second] {
+            deliver(&mut fresh, 0, answer, &mut r);
+            assert!(fresh.store().consistent_with(source.store()));
+        }
+        assert!(fresh.is_confident());
+        assert_eq!(fresh.stats().updates_via_pull, 2);
+
+        // In sync now: an empty answer. A stale answer arriving after a
+        // further write changes nothing the next pull does not see.
+        let empty = delta_answer(&mut fresh, &mut source, &mut r);
+        assert!(matches!(&empty, Message::DeltaResponse { updates, .. } if updates.is_empty()));
+        assert_eq!(source.stats().delta_in_sync, 1);
+        write_at(&mut source, 5, &mut r);
+        for stale in [&empty, &lost] {
+            deliver(&mut fresh, 0, stale, &mut r);
+        }
+        assert!(!fresh.store().consistent_with(source.store()));
+        let third = delta_answer(&mut fresh, &mut source, &mut r);
+        assert!(matches!(&third, Message::DeltaResponse { updates, .. } if updates.len() == 1));
+        deliver(&mut fresh, 0, &third, &mut r);
+        assert!(fresh.store().consistent_with(source.store()));
+        assert_eq!(source.stats().delta_full, 0);
+    }
+
+    #[test]
+    fn a_liars_empty_answer_hides_nothing_from_the_next_honest_responder() {
+        let mut r = rng();
+        let mut liar = delta_peer(1, [2]);
+        write_at(&mut liar, 5, &mut r);
+        write_at(&mut liar, 6, &mut r);
+        let mut honest = delta_peer(2, [1]);
+        let replica = delta_answer(&mut honest, &mut liar, &mut r);
+        deliver(&mut honest, 1, &replica, &mut r);
+        assert!(honest.store().consistent_with(liar.store()));
+
+        // The lie: "you are missing nothing", stamped with the liar's own
+        // state. The victim believes it — any answer restores confidence —
+        let mut victim = delta_peer(9, [1]);
+        let Message::DeltaResponse { upto, updates } = delta_answer(&mut victim, &mut liar, &mut r)
+        else {
+            unreachable!("delta_answer returns a delta response");
+        };
+        assert_eq!(updates.len(), 2, "what an honest answer would carry");
+        let lie = Message::DeltaResponse {
+            upto,
+            updates: vec![],
+        };
+        deliver(&mut victim, 1, &lie, &mut r);
+        assert!(victim.is_confident());
+        assert!(victim.store().is_empty());
+
+        // — but stores nothing from it: its next pull names its own, still
+        // empty, state, and whoever answers honestly sends everything.
+        // That includes the liar itself once it stops lying.
+        for (id, responder) in [(1, &mut liar), (2, &mut honest)] {
+            let mut victim = delta_peer(9, [id]);
+            deliver(&mut victim, 1, &lie, &mut r);
+            let answer = delta_answer(&mut victim, responder, &mut r);
+            deliver(&mut victim, id, &answer, &mut r);
+            assert!(victim.store().consistent_with(responder.store()));
+            assert_eq!(victim.stats().updates_via_pull, 2);
+        }
     }
 
     #[test]

@@ -26,9 +26,9 @@ pub enum MsgKind {
     PullRequest,
     /// A pull response carrying full missing updates.
     PullResponse,
-    /// A wire-v2 delta pull request (digest cursor).
+    /// A wire-v2 delta pull request (the requester's digest fingerprint).
     DeltaRequest,
-    /// A wire-v2 delta response carrying updates since the cursor.
+    /// A wire-v2 delta response carrying what the named state lacks.
     DeltaResponse,
     /// A §6 receipt acknowledgement.
     Ack,

@@ -206,10 +206,11 @@ impl Protocol for PaperProtocol {
                 })
             }
             rumor_core::Message::DeltaResponse { upto, updates } if !updates.is_empty() => {
-                // The wire-v2 delta pull trusts the same answer — and
-                // worse, believes the `upto` mark, so the lie also
-                // advances the victim's sync cursor past the withheld
-                // updates.
+                // The wire-v2 delta pull trusts the same answer, and no
+                // more than that: the victim stores nothing from it
+                // (`upto` is not a cursor), so its next pull names its
+                // own unchanged state and any honest responder sends
+                // what the liar withheld.
                 Some(rumor_core::Message::DeltaResponse {
                     upto: *upto,
                     updates: Vec::new(),

@@ -5,8 +5,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rumor::analysis::{PfSchedule, PushModel, PushParams};
 use rumor::core::{
-    DiscardStrategy, Lineage, Message, PartialList, PushMessage, ReplicaStore, StoreDigest,
-    TruncationPolicy, Update, Value, VersionRelation,
+    DeltaAnswer, DiscardStrategy, Lineage, Message, PartialList, PushMessage, ReplicaStore,
+    StoreDigest, TruncationPolicy, Update, Value, VersionRelation,
 };
 use rumor::pgrid::Path;
 use rumor::types::{DataKey, PeerId, VersionId};
@@ -73,6 +73,13 @@ fn rebuilt_digest(store: &ReplicaStore) -> StoreDigest {
         }
     }
     digest
+}
+
+/// A digest's fingerprint computed the other way: one fold over the
+/// finished pair array instead of one adjustment per `insert`/`remove`.
+fn recomputed_fingerprint(digest: &StoreDigest) -> u64 {
+    let rebuilt: StoreDigest = digest.pairs().iter().copied().collect();
+    rebuilt.fingerprint()
 }
 
 /// A peer id decoded from op bits: half from three small, colliding
@@ -216,7 +223,9 @@ proptest! {
         let mut violation = None;
         let store = replay_applies(seed, &ops, |store| {
             applied += 1;
-            if store.digest() != rebuilt_digest(store) {
+            if store.digest() != rebuilt_digest(store)
+                || store.fingerprint() != recomputed_fingerprint(&store.digest())
+            {
                 violation.get_or_insert(applied);
             }
             if applied == snapshot_at {
@@ -226,7 +235,49 @@ proptest! {
         prop_assert_eq!(violation, None, "maintained digest diverged from the stored versions");
         prop_assert!(store.digest().pairs().windows(2).all(|w| w[0] < w[1]));
         if let Some((shared, frozen)) = in_flight {
+            prop_assert_eq!(shared.fingerprint(), recomputed_fingerprint(&frozen));
             prop_assert_eq!(shared, frozen, "a later apply leaked into a cloned digest");
+        }
+    }
+
+    #[test]
+    fn a_delta_answer_leaves_the_requester_holding_all_a_digest_pull_would_send(
+        seed in 0u64..2_000,
+        ops in proptest::collection::vec(0u32..4_000, 0..40),
+        behind in 0usize..16,
+        ops_b in proptest::collection::vec(0u32..4_000, 0..6),
+    ) {
+        // The responder, and its fingerprint after every op.
+        let mut states = vec![0u64];
+        let responder = replay_applies(seed, &ops, |store| states.push(store.fingerprint()));
+        // A requester in a state the responder passed through `behind` ops
+        // ago (in sync, on the history or beyond the ring, by how many of
+        // those ops changed the store), and one that then went its own way.
+        let cut = ops.len() - behind.min(ops.len());
+        let changed = states[cut..].windows(2).filter(|w| w[0] != w[1]).count();
+        let trailing = replay_applies(seed, &ops[..cut], |_| {});
+        let diverged = replay_applies(seed.wrapping_add(1), &ops_b, |_| {});
+        let mut off_history = trailing.clone();
+        off_history.merge_updates(&diverged.delta_for(0).1);
+
+        for requester in [&trailing, &off_history, &diverged, &responder] {
+            let (answer, delta) = responder.delta_for(requester.fingerprint());
+            let mut patched = requester.clone();
+            patched.merge_updates(&delta);
+            let mut reference = requester.clone();
+            reference.merge_updates(&responder.missing_updates_for(&requester.digest()));
+            prop_assert!(patched.consistent_with(&reference), "{:?}", answer);
+            prop_assert_eq!(
+                answer == DeltaAnswer::InSync,
+                requester.consistent_with(&responder)
+            );
+        }
+        // On the responder's own history the answer is exact, and the ring
+        // reaches at least the deepest hit ever measured (6).
+        match responder.delta_for(trailing.fingerprint()).0 {
+            DeltaAnswer::InSync => prop_assert_eq!(changed, 0),
+            DeltaAnswer::Suffix { depth } => prop_assert_eq!(depth, changed),
+            DeltaAnswer::Full => prop_assert!(changed > 6, "forgot a state {} back", changed),
         }
     }
 
@@ -279,6 +330,11 @@ proptest! {
             inserted.insert(k, h);
         }
         prop_assert_eq!(&collected, &inserted);
+        prop_assert_eq!(collected.fingerprint(), inserted.fingerprint());
+        prop_assert_eq!(collected.fingerprint(), recomputed_fingerprint(&inserted));
+        for shared in &clones {
+            prop_assert_eq!(shared.fingerprint(), recomputed_fingerprint(shared));
+        }
         prop_assert_eq!(collected.cmp(&inserted), std::cmp::Ordering::Equal);
         prop_assert!(collected.pairs().windows(2).all(|w| w[0] < w[1]));
         let request = |digest: &StoreDigest| {

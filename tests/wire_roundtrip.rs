@@ -9,7 +9,8 @@ use rumor::baselines::{DemersMsg, FloodMsg};
 use rumor::core::{Lineage, Message, PartialList, PushMessage, StoreDigest, Update, Value};
 use rumor::types::{DataKey, PeerId, UpdateId, VersionId};
 use rumor::wire::{
-    decode_frame, encode_frame, frame_len, Frame, WireError, FRAME_HEADER_BYTES, WIRE_VERSION,
+    decode_frame, decode_frame_v2, encode_frame, frame_len, Bytes, Frame, WireError,
+    FRAME_HEADER_BYTES, WIRE_VERSION,
 };
 
 fn rng(seed: u64) -> ChaCha8Rng {
@@ -246,6 +247,88 @@ fn tombstone_and_empty_pull_response_roundtrip() {
     roundtrip(&Message::PullRequest {
         digest: StoreDigest::new(),
     });
+}
+
+/// Both pull answers — `PullResponse` (count at the body's start) and the
+/// wire-v2 `DeltaResponse` (count after the 8-byte `upto`) — with the
+/// stated update count overwritten, decoded.
+fn pull_answers_stating(updates: &[Update], stated: u32) -> [Result<Vec<Message>, WireError>; 2] {
+    let answers = [
+        (
+            0,
+            Message::PullResponse {
+                updates: updates.to_vec(),
+            },
+        ),
+        (
+            8,
+            Message::DeltaResponse {
+                upto: 3,
+                updates: updates.to_vec(),
+            },
+        ),
+    ];
+    answers.map(|(count_at, msg)| {
+        let mut frame = encode_frame(&msg).to_vec();
+        let count_at = FRAME_HEADER_BYTES + count_at;
+        frame[count_at..count_at + 4].copy_from_slice(&stated.to_be_bytes());
+        let mut out = Vec::new();
+        decode_frame_v2(&Bytes::from(frame), &mut out).map(|()| out)
+    })
+}
+
+#[test]
+fn pull_answers_never_trust_the_stated_update_count() {
+    let malformed = |result: &Result<Vec<Message>, WireError>, why: &str| {
+        let Err(WireError::Malformed { reason }) = result else {
+            panic!("expected a malformed body, got {result:?}");
+        };
+        assert!(reason.contains(why), "{reason}");
+    };
+    // A count with no update behind it — the 18-byte `DeltaResponse` that
+    // used to reserve 4 096 updates — is refused before anything is
+    // reserved for it, whatever it claims.
+    for stated in [1, 4_096, u32::MAX] {
+        for result in pull_answers_stating(&[], stated) {
+            malformed(&result, "truncated update list");
+        }
+    }
+    // So is a count the bytes behind it cannot hold even at the smallest
+    // encoding (31 bytes an update); one they could hold but do not is the
+    // ordinary truncation; an under-stated one leaves bytes behind.
+    let honest = [update(1, 0, true, 0), update(2, 1, false, 40)];
+    let listed = Message::PullResponse {
+        updates: honest.to_vec(),
+    };
+    let body_len = frame_len(&listed) - FRAME_HEADER_BYTES - 4;
+    assert_eq!(body_len / 31, 3);
+    for result in pull_answers_stating(&honest, (body_len / 31 + 1) as u32) {
+        malformed(&result, "truncated update list");
+    }
+    for result in pull_answers_stating(&honest, 3) {
+        malformed(&result, "truncated u64");
+    }
+    for result in pull_answers_stating(&honest, 1) {
+        assert!(matches!(result, Err(WireError::TrailingBytes { .. })));
+    }
+    // The bound is tight: a list of nothing but smallest updates decodes.
+    let smallest: Vec<Update> = (0..50).map(|seed| update(seed, 0, true, 0)).collect();
+    let [Ok(pull), Ok(delta)] = pull_answers_stating(&smallest, 50) else {
+        panic!("an honest list must decode");
+    };
+    assert_eq!(
+        pull,
+        [Message::PullResponse {
+            updates: smallest.clone()
+        }]
+    );
+    assert_eq!(
+        delta,
+        [Message::DeltaResponse {
+            upto: 3,
+            updates: smallest
+        }]
+    );
 }
 
 #[test]

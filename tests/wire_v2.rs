@@ -3,16 +3,17 @@
 //! pulls, the empty batch, a 10k-entry delta), strict rejection at
 //! every sub-frame boundary, and behavioural equivalence — digest-delta
 //! pulls converge in exactly the same round as full-digest pulls on
-//! identical scenario seeds.
+//! identical scenario seeds, for fewer bytes, answered from the bounded
+//! apply history rather than with the whole frontier.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rumor::churn::MarkovChurn;
-use rumor::cluster::{ClusterBuilder, ClusterReport, WireVersion};
+use rumor::cluster::{ClusterBuilder, ClusterReport, VirtualCluster, WireVersion};
 use rumor::core::{
-    Lineage, Message, PartialList, ProtocolConfig, PullStrategy, PushMessage, StoreDigest, Update,
-    Value,
+    Lineage, Message, PartialList, PeerStats, ProtocolConfig, PullStrategy, PushMessage,
+    StoreDigest, Update, Value,
 };
 use rumor::sim::{PaperProtocol, Scenario, TopologySpec, UpdateEvent};
 use rumor::types::{DataKey, PeerId, UpdateId, VersionId};
@@ -225,11 +226,15 @@ fn equivalence_config(delta: bool) -> ProtocolConfig {
         .expect("valid config")
 }
 
-fn run_equivalence(seed: u64, wire: WireVersion) -> (Option<u32>, ClusterReport) {
+fn equivalence_cluster(seed: u64, wire: WireVersion) -> VirtualCluster<PaperProtocol> {
     let delta = wire == WireVersion::V2;
-    let mut cluster = ClusterBuilder::new(&equivalence_scenario(seed))
+    ClusterBuilder::new(&equivalence_scenario(seed))
         .wire(wire)
-        .virtual_time(PaperProtocol::new(equivalence_config(delta)));
+        .virtual_time(PaperProtocol::new(equivalence_config(delta)))
+}
+
+fn run_equivalence(seed: u64, wire: WireVersion) -> (Option<u32>, ClusterReport) {
+    let mut cluster = equivalence_cluster(seed, wire);
     let event = UpdateEvent {
         round: 0,
         key: DataKey::from_name("wire-v2-equivalence"),
@@ -243,7 +248,7 @@ fn run_equivalence(seed: u64, wire: WireVersion) -> (Option<u32>, ClusterReport)
 
 #[test]
 fn delta_pulls_converge_in_the_same_round_as_full_digest_pulls() {
-    for seed in [7u64, 21, 99] {
+    for seed in [7u64, 21, 99, 3, 11, 42, 77, 1234] {
         let (v1_round, v1_report) = run_equivalence(seed, WireVersion::V1);
         let (v2_round, v2_report) = run_equivalence(seed, WireVersion::V2);
         assert_eq!(
@@ -256,12 +261,65 @@ fn delta_pulls_converge_in_the_same_round_as_full_digest_pulls() {
             "seed {seed}: the aware replica sets must match exactly"
         );
         // Same logical trajectory: one message per v1 frame, the same
-        // messages regrouped into fewer frames under v2.
+        // messages regrouped into fewer frames under v2 — and, the point
+        // of the format, in fewer bytes.
         assert_eq!(v1_report.messages_sent, v2_report.messages_sent);
         assert!(v2_report.frames_sent <= v1_report.frames_sent);
+        assert!(
+            v2_report.bytes_sent < v1_report.bytes_sent,
+            "seed {seed}: v2 sent {} bytes, v1 {}",
+            v2_report.bytes_sent,
+            v1_report.bytes_sent
+        );
         for report in [&v1_report, &v2_report] {
             assert_eq!(report.decode_errors, 0);
             assert_eq!(report.version_mismatches, 0);
         }
     }
+}
+
+#[test]
+fn delta_pulls_are_answered_from_the_history_not_with_the_whole_frontier() {
+    // The equivalence scenario under a write-heavy closed loop: 24 updates
+    // over 4 keys, every fifth a delete, each issued once the last reached
+    // every online replica — churn and loss keep replicas falling behind.
+    let mut served = PeerStats::default();
+    for seed in [7u64, 21, 99] {
+        let mut cluster = equivalence_cluster(seed, WireVersion::V2);
+        for sequence in 0..24u32 {
+            let event = UpdateEvent {
+                round: cluster.rounds_run(),
+                key: DataKey::from_name(&format!("wire-v2-history-{}", sequence % 4)),
+                delete: sequence % 5 == 4,
+                sequence,
+            };
+            let update = cluster.initiate(&event).expect("someone online");
+            cluster.run_until_all_online_aware(update, 200);
+        }
+        for peer in 0..cluster.population() {
+            let stats = cluster.node(PeerId::new(peer as u32)).stats();
+            served.pull_requests_received += stats.pull_requests_received;
+            served.delta_in_sync += stats.delta_in_sync;
+            served.delta_suffix += stats.delta_suffix;
+            served.delta_full += stats.delta_full;
+            served.delta_max_depth = served.delta_max_depth.max(stats.delta_max_depth);
+        }
+    }
+    let pulls = served.pull_requests_received;
+    assert!(
+        pulls > 1_000,
+        "the loop must exercise the pull phase: {served:?}"
+    );
+    assert_eq!(
+        served.delta_in_sync + served.delta_suffix + served.delta_full,
+        pulls,
+        "every pull is a delta pull with exactly one outcome"
+    );
+    assert!(served.delta_suffix > 0 && served.delta_in_sync > served.delta_suffix);
+    // The ring length (8) is checked by traffic: the whole frontier goes
+    // out for under 5 % of pulls (2.3 % here, all of them requesters that
+    // diverged — a ring of 64 answers not one more from the history), and
+    // the deepest hit (6) stops short of the ring's edge.
+    assert!(served.delta_full * 20 < pulls, "{served:?}");
+    assert!((1..8).contains(&served.delta_max_depth), "{served:?}");
 }
