@@ -316,7 +316,7 @@ impl Node for RumorMongerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::BaselineSim;
+    use crate::runner::driver;
     use rumor_net::Effect;
 
     fn rumor() -> UpdateId {
@@ -328,8 +328,8 @@ mod tests {
         let nodes: Vec<AntiEntropyNode> = (0..60)
             .map(|i| AntiEntropyNode::fully_connected(i, 60, false))
             .collect();
-        let mut sim = BaselineSim::new(nodes, 60, 3).unwrap();
-        sim.seed(0, |n, _, _| n.seed_rumor(rumor()));
+        let mut sim = driver(nodes, 60, 3);
+        sim.apply(PeerId::new(0), |n, _, _| n.seed_rumor(rumor()));
         sim.run_rounds(40);
         let aware = sim.aware_fraction(|n| n.knows(rumor()));
         assert!(aware > 0.95, "anti-entropy converges, got {aware}");
@@ -341,8 +341,8 @@ mod tests {
             let nodes: Vec<AntiEntropyNode> = (0..80)
                 .map(|i| AntiEntropyNode::fully_connected(i, 80, push_pull))
                 .collect();
-            let mut sim = BaselineSim::new(nodes, 80, 5).unwrap();
-            sim.seed(0, |n, _, _| n.seed_rumor(rumor()));
+            let mut sim = driver(nodes, 80, 5);
+            sim.apply(PeerId::new(0), |n, _, _| n.seed_rumor(rumor()));
             let mut rounds = 0;
             while sim.aware_fraction(|n| n.knows(rumor())) < 0.9 && rounds < 200 {
                 sim.step();
@@ -365,8 +365,8 @@ mod tests {
         let nodes: Vec<RumorMongerNode> = (0..100)
             .map(|i| RumorMongerNode::fully_connected(i, 100, config))
             .collect();
-        let mut sim = BaselineSim::new(nodes, 100, 9).unwrap();
-        sim.seed(0, |n, _, _| n.seed_rumor(rumor()));
+        let mut sim = driver(nodes, 100, 9);
+        sim.apply(PeerId::new(0), |n, _, _| n.seed_rumor(rumor()));
         sim.run_rounds(100);
         let aware = sim.aware_fraction(|n| n.knows(rumor()));
         assert!(
@@ -384,8 +384,8 @@ mod tests {
         let nodes: Vec<RumorMongerNode> = (0..50)
             .map(|i| RumorMongerNode::fully_connected(i, 50, config))
             .collect();
-        let mut sim = BaselineSim::new(nodes, 50, 13).unwrap();
-        sim.seed(0, |n, _, _| n.seed_rumor(rumor()));
+        let mut sim = driver(nodes, 50, 13);
+        sim.apply(PeerId::new(0), |n, _, _| n.seed_rumor(rumor()));
         sim.run_rounds(60);
         let hot = sim.aware_fraction(|n| n.is_hot(rumor()));
         assert_eq!(hot, 0.0, "blind counter mongering terminates");
@@ -401,8 +401,8 @@ mod tests {
             let nodes: Vec<RumorMongerNode> = (0..80)
                 .map(|i| RumorMongerNode::fully_connected(i, 80, config))
                 .collect();
-            let mut sim = BaselineSim::new(nodes, 80, 17).unwrap();
-            sim.seed(0, |n, _, _| n.seed_rumor(rumor()));
+            let mut sim = driver(nodes, 80, 17);
+            sim.apply(PeerId::new(0), |n, _, _| n.seed_rumor(rumor()));
             sim.run_rounds(120);
             sim.messages()
         };

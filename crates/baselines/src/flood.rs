@@ -284,7 +284,7 @@ impl Node for HaasNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::BaselineSim;
+    use crate::runner::driver;
     use rand::SeedableRng;
     use rumor_net::Effect;
 
@@ -416,8 +416,10 @@ mod tests {
             let nodes: Vec<PureFloodNode> = (0..population as u32)
                 .map(|i| PureFloodNode::fully_connected(i, population, fanout, 5))
                 .collect();
-            let mut sim = BaselineSim::new(nodes, population, 21).unwrap();
-            sim.seed(0, |n, rng, out| n.seed_rumor(rumor(), rng, out));
+            let mut sim = driver(nodes, population, 21);
+            sim.apply(PeerId::new(0), |n, rng, out| {
+                n.seed_rumor(rumor(), rng, out)
+            });
             sim.run_until_quiescent(30);
             sim.messages()
         };
@@ -425,8 +427,10 @@ mod tests {
             let nodes: Vec<GnutellaNode> = (0..population as u32)
                 .map(|i| GnutellaNode::fully_connected(i, population, fanout, ttl))
                 .collect();
-            let mut sim = BaselineSim::new(nodes, population, 21).unwrap();
-            sim.seed(0, |n, rng, out| n.seed_rumor(rumor(), rng, out));
+            let mut sim = driver(nodes, population, 21);
+            sim.apply(PeerId::new(0), |n, rng, out| {
+                n.seed_rumor(rumor(), rng, out)
+            });
             sim.run_until_quiescent(30);
             // Fanout-4 epidemics leave a small tail of unreached peers.
             assert!(sim.aware_fraction(|n| n.knows(rumor())) > 0.9);
@@ -436,8 +440,10 @@ mod tests {
             let nodes: Vec<HaasNode> = (0..population as u32)
                 .map(|i| HaasNode::fully_connected(i, population, fanout, ttl, 0.8, 2))
                 .collect();
-            let mut sim = BaselineSim::new(nodes, population, 21).unwrap();
-            sim.seed(0, |n, rng, out| n.seed_rumor(rumor(), rng, out));
+            let mut sim = driver(nodes, population, 21);
+            sim.apply(PeerId::new(0), |n, rng, out| {
+                n.seed_rumor(rumor(), rng, out)
+            });
             sim.run_until_quiescent(30);
             assert!(sim.aware_fraction(|n| n.knows(rumor())) > 0.8);
             sim.messages()

@@ -15,18 +15,20 @@
 //! # Examples
 //!
 //! ```
-//! use rumor_baselines::{BaselineSim, GnutellaNode};
-//! use rumor_types::UpdateId;
+//! use rumor_baselines::GnutellaFlooding;
+//! use rumor_sim::{Scenario, UpdateEvent};
+//! use rumor_types::{DataKey, PeerId};
 //!
-//! // 100 fully-connected peers, rumor seeded at peer 0 with TTL 7.
-//! let rumor = UpdateId::from_bits(1);
-//! let nodes: Vec<GnutellaNode> = (0..100)
-//!     .map(|i| GnutellaNode::fully_connected(i, 100, 6, 7))
-//!     .collect();
-//! let mut sim = BaselineSim::new(nodes, 100, 11)?;
-//! sim.seed(0, |n, rng, out| n.seed_rumor(rumor, rng, out));
-//! sim.run_until_quiescent(50);
-//! let aware = sim.aware_fraction(|n| n.knows(rumor));
+//! // 100 fully-connected peers, rumor initiated at peer 0 with TTL 7.
+//! let scenario = Scenario::builder(100, 11).build()?;
+//! let protocol = GnutellaFlooding { fanout: 6, ttl: 7 };
+//! let mut driver = scenario.drive(&protocol);
+//! let event = UpdateEvent { round: 0, key: DataKey::from_name("r"), delete: false, sequence: 0 };
+//! let rumor = driver
+//!     .initiate(&protocol, Some(PeerId::new(0)), &event)
+//!     .expect("an explicit initiator");
+//! driver.run_until_quiescent(50);
+//! let aware = driver.aware_fraction(|n| n.knows(rumor));
 //! assert!(aware > 0.95, "flooding informs (nearly) everyone, got {aware}");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -37,11 +39,11 @@
 mod demers;
 mod flood;
 mod protocols;
+#[cfg(test)]
 mod runner;
 mod wire;
 
 pub use demers::{AntiEntropyNode, DemersMsg, MongerConfig, MongerStop, RumorMongerNode};
 pub use flood::{FloodMsg, GnutellaNode, HaasNode, PureFloodNode};
 pub use protocols::{AntiEntropy, GnutellaFlooding, Gossip1, PureFlooding, RumorMongering};
-pub use runner::BaselineSim;
 pub use wire::{KIND_DEMERS_DIGEST, KIND_DEMERS_FEEDBACK, KIND_DEMERS_RUMOR, KIND_FLOOD_RUMOR};

@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn baselines_respect_scenario_partition() {
         // A partition for the whole horizon confines the flood to one
-        // half — something the old BaselineSim could not express.
+        // half.
         let scenario = Scenario::builder(100, 13)
             .partition(Partition::halves(100, Round::ZERO, Round::new(1_000)))
             .build()

@@ -1,159 +1,54 @@
-//! The baseline driver facade.
-//!
-//! [`BaselineSim`] used to carry its own round loop; it is now a thin
-//! wrapper over the shared [`rumor_sim::Driver`], so baselines run under
-//! exactly the same orchestration (churn step → engine step, quiescence,
-//! observation) as the paper protocol. Mount a baseline into a
-//! [`Scenario`](rumor_sim::Scenario) (via the [`Protocol`] factories in
-//! [`crate::protocols`]) to give it topology, loss and partition parity
-//! with the main protocol; use [`BaselineSim::new`] for the historical
-//! fully-connected / perfect-links setup.
+//! The historical baseline setup, for this crate's unit tests only: fully
+//! connected, perfect links, no churn, mounted straight on the shared
+//! [`rumor_sim::Driver`]. Everything else mounts a baseline into a
+//! `Scenario` through the `Protocol` factories in [`crate::protocols`].
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rumor_churn::{Churn, OnlineSet, StaticChurn};
-use rumor_net::{EffectSink, Node, PerfectLinks};
-use rumor_sim::{ConvergenceSpec, Driver, SimError};
-use rumor_types::{derive_seed, PeerId};
+use rumor_churn::{OnlineSet, StaticChurn};
+use rumor_net::{Node, PerfectLinks};
+use rumor_sim::{ConvergenceSpec, Driver};
+use rumor_types::derive_seed;
 
-/// Drives any population of [`Node`]s in synchronous rounds — the
-/// baseline counterpart of `rumor_sim::Simulation`, generic over the
-/// protocol and delegating every round to the shared
-/// [`rumor_sim::Driver`].
-pub struct BaselineSim<N: Node> {
-    driver: Driver<N>,
+/// A driver over `nodes` with the first `online_count` online. The
+/// `"baseline-protocol"` / `"baseline-churn"` substreams are what the
+/// tests' seeds have always derived from, so their draws are pinned.
+pub(crate) fn driver<N: Node>(nodes: Vec<N>, online_count: usize, seed: u64) -> Driver<N> {
+    let online = OnlineSet::with_online_count(nodes.len(), online_count);
+    Driver::assemble(
+        nodes,
+        online,
+        Box::new(StaticChurn::new()),
+        Box::new(PerfectLinks),
+        ChaCha8Rng::seed_from_u64(derive_seed(seed, "baseline-protocol")),
+        ChaCha8Rng::seed_from_u64(derive_seed(seed, "baseline-churn")),
+        ConvergenceSpec::default(),
+    )
 }
 
-impl<N: Node> std::fmt::Debug for BaselineSim<N> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BaselineSim")
-            .field("driver", &self.driver)
-            .finish()
-    }
-}
-
-impl<N: Node> BaselineSim<N> {
-    /// Creates a driver with `online_count` of the nodes initially online
-    /// and no churn.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if `online_count` exceeds the population.
-    pub fn new(nodes: Vec<N>, online_count: usize, seed: u64) -> Result<Self, SimError> {
-        let population = nodes.len();
-        if online_count > population {
-            return Err(SimError::InvalidSetup {
-                reason: format!("online count {online_count} exceeds population {population}"),
-            });
-        }
-        let online = OnlineSet::with_online_count(population, online_count);
-        let driver = Driver::assemble(
-            nodes,
-            online,
-            Box::new(StaticChurn::new()),
-            Box::new(PerfectLinks),
-            ChaCha8Rng::seed_from_u64(derive_seed(seed, "baseline-protocol")),
-            ChaCha8Rng::seed_from_u64(derive_seed(seed, "baseline-churn")),
-            ConvergenceSpec::default(),
-        );
-        Ok(Self { driver })
-    }
-
-    /// Wraps a driver mounted from a [`Scenario`](rumor_sim::Scenario),
-    /// inheriting its topology, churn, loss and partition configuration.
-    pub fn from_driver(driver: Driver<N>) -> Self {
-        Self { driver }
-    }
-
-    /// Installs a churn model.
-    pub fn with_churn(mut self, churn: impl Churn + 'static) -> Self {
-        self.driver.set_churn(Box::new(churn));
-        self
-    }
-
-    /// The underlying protocol-agnostic driver.
-    pub fn driver(&self) -> &Driver<N> {
-        &self.driver
-    }
-
-    /// Mutable access to the underlying driver.
-    pub fn driver_mut(&mut self) -> &mut Driver<N> {
-        &mut self.driver
-    }
-
-    /// Seeds protocol state at node `index`, injecting any effects the
-    /// closure writes into the sink (e.g. the initiator's broadcast).
-    pub fn seed<F>(&mut self, index: usize, f: F)
-    where
-        F: FnOnce(&mut N, &mut ChaCha8Rng, &mut EffectSink<N::Msg>),
-    {
-        self.driver.apply(PeerId::new(index as u32), f);
-    }
-
-    /// Executes one round (churn after round 0, then engine).
-    pub fn step(&mut self) {
-        self.driver.step();
-    }
-
-    /// Runs `n` rounds.
-    pub fn run_rounds(&mut self, n: u32) {
-        self.driver.run_rounds(n);
-    }
-
-    /// Runs until quiescent or `max_rounds`; returns rounds executed.
-    pub fn run_until_quiescent(&mut self, max_rounds: u32) -> u32 {
-        self.driver.run_until_quiescent(max_rounds)
-    }
-
-    /// Fraction of *online* nodes satisfying `aware`.
-    pub fn aware_fraction(&self, aware: impl Fn(&N) -> bool) -> f64 {
-        self.driver.aware_fraction(aware)
-    }
-
-    /// Total messages sent so far.
-    pub fn messages(&self) -> u64 {
-        self.driver.messages()
-    }
-
-    /// Messages per initially-online node.
-    pub fn messages_per_initial_online(&self) -> f64 {
-        self.driver.messages_per_initial_online()
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds_run(&self) -> u32 {
-        self.driver.rounds_run()
-    }
-
-    /// Read access to the nodes.
-    pub fn nodes(&self) -> &[N] {
-        self.driver.nodes()
-    }
-
-    /// The availability state.
-    pub fn online(&self) -> &OnlineSet {
-        self.driver.online()
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::flood::GnutellaNode;
     use rumor_churn::MarkovChurn;
-    use rumor_types::UpdateId;
+    use rumor_sim::Scenario;
+    use rumor_types::{PeerId, UpdateId};
 
     fn rumor() -> UpdateId {
         UpdateId::from_bits(5)
     }
 
+    fn gnutella(population: u32) -> Vec<GnutellaNode> {
+        (0..population)
+            .map(|i| GnutellaNode::fully_connected(i, population as usize, 3, 6))
+            .collect()
+    }
+
     #[test]
     fn driver_counts_messages_and_rounds() {
-        let nodes: Vec<GnutellaNode> = (0..30)
-            .map(|i| GnutellaNode::fully_connected(i, 30, 3, 6))
-            .collect();
-        let mut sim = BaselineSim::new(nodes, 30, 1).unwrap();
-        sim.seed(0, |n, rng, out| n.seed_rumor(rumor(), rng, out));
+        let mut sim = driver(gnutella(30), 30, 1);
+        sim.apply(PeerId::new(0), |n, rng, out| {
+            n.seed_rumor(rumor(), rng, out)
+        });
         let rounds = sim.run_until_quiescent(20);
         assert!(rounds > 0);
         assert!(sim.messages() >= 3);
@@ -163,11 +58,10 @@ mod tests {
 
     #[test]
     fn offline_nodes_do_not_participate() {
-        let nodes: Vec<GnutellaNode> = (0..30)
-            .map(|i| GnutellaNode::fully_connected(i, 30, 3, 6))
-            .collect();
-        let mut sim = BaselineSim::new(nodes, 1, 2).unwrap(); // only node 0 online
-        sim.seed(0, |n, rng, out| n.seed_rumor(rumor(), rng, out));
+        let mut sim = driver(gnutella(30), 1, 2); // only node 0 online
+        sim.apply(PeerId::new(0), |n, rng, out| {
+            n.seed_rumor(rumor(), rng, out)
+        });
         sim.run_until_quiescent(20);
         // Messages were sent but nobody received: awareness stays at the
         // initiator.
@@ -177,22 +71,18 @@ mod tests {
 
     #[test]
     fn churn_is_applied() {
-        let nodes: Vec<GnutellaNode> = (0..100)
-            .map(|i| GnutellaNode::fully_connected(i, 100, 3, 6))
-            .collect();
-        let mut sim = BaselineSim::new(nodes, 100, 3)
-            .unwrap()
-            .with_churn(MarkovChurn::new(0.5, 0.0).unwrap());
+        let mut sim = driver(gnutella(100), 100, 3);
+        sim.set_churn(Box::new(MarkovChurn::new(0.5, 0.0).unwrap()));
         sim.run_rounds(10);
         assert!(sim.online().online_count() < 10, "σ=0.5 decimates quickly");
     }
 
     #[test]
     fn oversized_online_count_is_an_error_not_a_panic() {
-        let nodes: Vec<GnutellaNode> = (0..30)
-            .map(|i| GnutellaNode::fully_connected(i, 30, 3, 6))
-            .collect();
-        let err = BaselineSim::new(nodes, 31, 4).unwrap_err();
+        let err = Scenario::builder(30, 4)
+            .online_count(31)
+            .build()
+            .unwrap_err();
         assert!(err.to_string().contains("exceeds population"), "{err}");
     }
 }

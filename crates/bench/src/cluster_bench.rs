@@ -2,21 +2,21 @@
 //!
 //! The `rumor-cluster` runtime is the repo's real-time path: live
 //! replicas exchanging encoded `rumor-wire` frames. This module defines
-//! its tracked benchmark — the same steady-state environment family as
-//! `engine_bench` (partial knowledge, churn, loss, a paper-peer
-//! configuration whose staleness pulls keep traffic flowing forever)
+//! its tracked benchmark — a steady-state environment (partial
+//! knowledge, churn, loss, a paper-peer configuration whose staleness
+//! pulls keep traffic flowing forever)
 //! executed live on the sharded executor (a worker pool sized to the
 //! machine's available parallelism hosting all cells). Emitted as
 //! `BENCH_cluster.json` so the throughput trajectory is comparable
 //! across commits in both frames *and* bytes per second.
 
-use crate::json::Json;
 use rumor_baselines::AntiEntropy;
 use rumor_churn::MarkovChurn;
 use rumor_cluster::ClusterBuilder;
 use rumor_core::{ProtocolConfig, PullStrategy};
 use rumor_net::Node;
 use rumor_sim::{PaperProtocol, Protocol, Scenario, TopologySpec, UpdateEvent};
+use rumor_types::json::Json;
 use rumor_types::DataKey;
 use rumor_wire::{Decode, Encode, WireVersion};
 use std::time::Instant;
@@ -90,7 +90,7 @@ pub struct ClusterBenchRow {
 }
 
 /// The steady-state environment: partial knowledge (§2), Markov churn
-/// and link loss — the engine bench's family, mounted live.
+/// and link loss, mounted live.
 pub fn bench_scenario(population: usize, seed: u64) -> Scenario {
     let k = 32.min(population.saturating_sub(1)).max(1);
     Scenario::builder(population, seed)
@@ -294,8 +294,8 @@ pub fn run_matrix(populations: &[usize]) -> Vec<ClusterBenchRow> {
 pub fn to_json(rows: &[ClusterBenchRow]) -> Json {
     Json::obj([
         ("schema", Json::Str("rumor-bench/cluster/v2".into())),
-        ("seed", Json::Int(CLUSTER_BENCH_SEED as i64)),
-        ("warmup_rounds", Json::Int(i64::from(WARMUP_ROUNDS))),
+        ("seed", Json::from_u64(CLUSTER_BENCH_SEED)),
+        ("warmup_rounds", Json::from_u32(WARMUP_ROUNDS)),
         (
             "rows",
             Json::Arr(
@@ -304,27 +304,27 @@ pub fn to_json(rows: &[ClusterBenchRow]) -> Json {
                         Json::obj([
                             ("contender", Json::Str(r.contender.clone())),
                             ("mode", Json::Str(r.mode.clone())),
-                            ("population", Json::Int(r.population as i64)),
-                            ("rounds", Json::Int(i64::from(r.rounds))),
-                            ("elapsed_secs", Json::Num(r.elapsed_secs)),
-                            ("frames_per_sec", Json::Num(r.frames_per_sec)),
-                            ("bytes_per_sec", Json::Num(r.bytes_per_sec)),
-                            ("frames", Json::Int(r.frames as i64)),
-                            ("bytes", Json::Int(r.bytes as i64)),
-                            ("wire_version", Json::Int(i64::from(r.wire_version))),
-                            ("messages", Json::Int(r.messages as i64)),
-                            ("mean_frame_bytes", Json::Num(r.mean_frame_bytes)),
-                            ("mean_message_bytes", Json::Num(r.mean_message_bytes)),
+                            ("population", Json::from_usize(r.population)),
+                            ("rounds", Json::from_u32(r.rounds)),
+                            ("elapsed_secs", Json::from_f64(r.elapsed_secs)),
+                            ("frames_per_sec", Json::from_f64(r.frames_per_sec)),
+                            ("bytes_per_sec", Json::from_f64(r.bytes_per_sec)),
+                            ("frames", Json::from_u64(r.frames)),
+                            ("bytes", Json::from_u64(r.bytes)),
+                            ("wire_version", Json::from_u32(u32::from(r.wire_version))),
+                            ("messages", Json::from_u64(r.messages)),
+                            ("mean_frame_bytes", Json::from_f64(r.mean_frame_bytes)),
+                            ("mean_message_bytes", Json::from_f64(r.mean_message_bytes)),
                             (
                                 "converged_round",
                                 match r.converged_round {
-                                    Some(round) => Json::Int(i64::from(round)),
+                                    Some(round) => Json::from_u32(round),
                                     None => Json::Null,
                                 },
                             ),
-                            ("decode_errors", Json::Int(r.decode_errors as i64)),
-                            ("version_mismatches", Json::Int(r.version_mismatches as i64)),
-                            ("frames_tampered", Json::Int(r.frames_tampered as i64)),
+                            ("decode_errors", Json::from_u64(r.decode_errors)),
+                            ("version_mismatches", Json::from_u64(r.version_mismatches)),
+                            ("frames_tampered", Json::from_u64(r.frames_tampered)),
                         ])
                     })
                     .collect(),

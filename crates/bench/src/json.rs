@@ -1,11 +1,11 @@
-//! Hand-rolled JSON emission for experiment artefacts.
+//! JSON emission for experiment artefacts.
 //!
 //! The offline `serde` shim provides no serialization framework, so the
-//! experiment payload types serialise through this module instead: a tiny
-//! document model ([`Json`]) with a pretty printer, plus [`ToJson`]
-//! implementations for every payload `all_experiments` writes. Output is
-//! plain standards-compliant JSON, so downstream plotting scripts see the
-//! same artefacts they would with `serde_json`.
+//! experiment payload types serialise through [`ToJson`] instead: one
+//! implementation per payload `all_experiments` writes, each building
+//! the workspace's shared [`Json`] value. Output is plain
+//! standards-compliant JSON, so downstream plotting scripts see the same
+//! artefacts they would with `serde_json`.
 
 use crate::ablation::AblationRow;
 use crate::artefact::FigureArtefact;
@@ -15,122 +15,7 @@ use crate::head_to_head::{ContenderRow, ContenderSummary};
 use crate::simfig::{ReplicatedSeries, ValidationRow};
 use rumor_analysis::{PfSchedule, PushOutcome, PushParams, RoundRow, SchemeResult};
 use rumor_metrics::SampleStats;
-
-/// A JSON document.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An integer (emitted without a decimal point, as `serde_json`
-    /// would for Rust integer types).
-    Int(i64),
-    /// A finite number (non-finite values emit as `null`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Builds an object from `(key, value)` pairs.
-    pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// Pretty-prints with two-space indentation, mirroring
-    /// `serde_json::to_string_pretty`.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    if x.fract() == 0.0 && x.abs() < 1e15 {
-                        out.push_str(&format!("{:.1}", x));
-                    } else {
-                        out.push_str(&format!("{x}"));
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    Json::Str(k.clone()).write(out, indent + 1);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
+use rumor_types::json::Json;
 
 /// Conversion into the [`Json`] document model.
 pub trait ToJson {
@@ -146,25 +31,25 @@ impl ToJson for Json {
 
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
-        Json::Num(*self)
+        Json::from_f64(*self)
     }
 }
 
 impl ToJson for u32 {
     fn to_json(&self) -> Json {
-        Json::Int(i64::from(*self))
+        Json::from_u32(*self)
     }
 }
 
 impl ToJson for u64 {
     fn to_json(&self) -> Json {
-        Json::Int(*self as i64)
+        Json::from_u64(*self)
     }
 }
 
 impl ToJson for usize {
     fn to_json(&self) -> Json {
-        Json::Int(*self as i64)
+        Json::from_usize(*self)
     }
 }
 
@@ -182,7 +67,7 @@ impl ToJson for String {
 
 impl ToJson for (f64, f64) {
     fn to_json(&self) -> Json {
-        Json::Arr(vec![Json::Num(self.0), Json::Num(self.1)])
+        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
     }
 }
 
@@ -348,13 +233,13 @@ impl ToJson for AblationRow {
 impl ToJson for PfSchedule {
     fn to_json(&self) -> Json {
         match self {
-            PfSchedule::One => Json::Str("One".into()),
-            PfSchedule::Constant(p) => Json::obj([("Constant", Json::Num(*p))]),
+            PfSchedule::One => Json::from_text("One"),
+            PfSchedule::Constant(p) => Json::obj([("Constant", p.to_json())]),
             PfSchedule::Linear { rate } => {
-                Json::obj([("Linear", Json::obj([("rate", Json::Num(*rate))]))])
+                Json::obj([("Linear", Json::obj([("rate", rate.to_json())]))])
             }
             PfSchedule::Exponential { base } => {
-                Json::obj([("Exponential", Json::obj([("base", Json::Num(*base))]))])
+                Json::obj([("Exponential", Json::obj([("base", base.to_json())]))])
             }
             PfSchedule::OffsetExponential {
                 scale,
@@ -363,14 +248,14 @@ impl ToJson for PfSchedule {
             } => Json::obj([(
                 "OffsetExponential",
                 Json::obj([
-                    ("scale", Json::Num(*scale)),
-                    ("base", Json::Num(*base)),
-                    ("offset", Json::Num(*offset)),
+                    ("scale", scale.to_json()),
+                    ("base", base.to_json()),
+                    ("offset", offset.to_json()),
                 ]),
             )]),
             PfSchedule::FloodThenGossip { p, k } => Json::obj([(
                 "FloodThenGossip",
-                Json::obj([("p", Json::Num(*p)), ("k", k.to_json())]),
+                Json::obj([("p", p.to_json()), ("k", k.to_json())]),
             )]),
         }
     }
@@ -461,29 +346,18 @@ mod tests {
 
     #[test]
     fn strings_escape_control_characters() {
-        let j = Json::Str("a\"b\\c\nd\u{1}".into());
+        let j = "a\"b\\c\nd\u{1}".to_string().to_json();
         assert_eq!(j.pretty(), "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]
     fn numbers_render_json_style() {
-        assert_eq!(Json::Num(3.0).pretty(), "3.0");
-        assert_eq!(Json::Num(0.5).pretty(), "0.5");
-        assert_eq!(Json::Num(f64::NAN).pretty(), "null");
-        assert_eq!(Json::Int(12).pretty(), "12");
+        assert_eq!(3.0f64.to_json().pretty(), "3.0");
+        assert_eq!(0.5f64.to_json().pretty(), "0.5");
+        assert_eq!(f64::NAN.to_json().pretty(), "null");
+        assert_eq!(12u64.to_json().pretty(), "12");
         assert_eq!(7u32.to_json().pretty(), "7");
-    }
-
-    #[test]
-    fn empty_collections_are_compact() {
-        assert_eq!(Json::Arr(vec![]).pretty(), "[]");
-        assert_eq!(Json::Obj(vec![]).pretty(), "{}");
-    }
-
-    #[test]
-    fn objects_pretty_print_with_indentation() {
-        let j = Json::obj([("k", Json::Num(1.0)), ("s", Json::Str("v".into()))]);
-        assert_eq!(j.pretty(), "{\n  \"k\": 1.0,\n  \"s\": \"v\"\n}");
+        assert_eq!((0.25, 2.0).to_json().pretty(), "[\n  0.25,\n  2.0\n]");
     }
 
     #[test]

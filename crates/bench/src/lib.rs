@@ -13,7 +13,6 @@
 pub mod ablation;
 pub mod artefact;
 pub mod cluster_bench;
-pub mod engine_bench;
 pub mod experiments;
 pub mod extensions;
 pub mod head_to_head;

@@ -17,8 +17,8 @@ use rumor_sim::{Driver, PaperProtocol, Protocol, Scenario, TopologySpec, UpdateE
 use rumor_types::{derive_seed, DataKey, PeerId, SeedSequence, UpdateId};
 
 use crate::config::FuzzConfig;
-use crate::json::Json;
 use crate::oracle::{self, Divergence};
+use rumor_types::json::Json;
 
 /// Which runtime executes the case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -576,7 +576,7 @@ mod tests {
         for case_idx in 0..16 {
             let spec = CaseSpec::generate(&config, case_idx);
             let text = spec.to_json().pretty();
-            let doc = crate::json::parse(&text).expect("spec parses");
+            let doc = rumor_types::json::parse(&text).expect("spec parses");
             let back = CaseSpec::from_json(&doc).expect("spec deserializes");
             assert_eq!(back, spec, "case {case_idx} drifted through JSON");
             assert_eq!(back.to_json().pretty(), text, "re-emit must be identical");
@@ -625,7 +625,7 @@ mod tests {
         spec.wire_v2 = true;
         let text = spec.to_json().pretty();
         assert!(text.contains("\"wire_v2\": true"), "{text}");
-        let doc = crate::json::parse(&text).expect("spec parses");
+        let doc = rumor_types::json::parse(&text).expect("spec parses");
         let back = CaseSpec::from_json(&doc).expect("spec deserializes");
         assert_eq!(back, spec);
         assert_eq!(back.to_json().pretty(), text);

@@ -19,8 +19,8 @@
 //! Determinism is the contract that makes failures useful. All
 //! randomness flows through `rumor_types::SeedSequence` (substream
 //! `"fuzz/case"`), a case's seed is its *only* input, and a failing
-//! case freezes into an [`ExecutionRecord`] — hand-rolled JSON whose
-//! numbers are text-preserving ([`Json`]) — that
+//! case freezes into an [`ExecutionRecord`] — JSON whose numbers are
+//! text-preserving ([`rumor_types::json::Json`]) — that
 //! [`ExecutionRecord::replay`] re-runs bit for bit.
 //!
 //! The `fuzz` binary drives batches ([`run_batch`]), Byzantine
@@ -49,7 +49,6 @@
 
 mod case;
 mod config;
-pub mod json;
 mod oracle;
 mod record;
 mod runner;
@@ -57,7 +56,6 @@ mod sweep;
 
 pub use case::{behaviour_from_name, behaviour_name, CaseOutcome, CaseSpec, ExecPath};
 pub use config::{ConfigError, FuzzConfig};
-pub use json::Json;
 pub use oracle::Divergence;
 pub use record::{ExecutionRecord, ReplayVerdict, RECORD_SCHEMA};
 pub use runner::{run_batch, BatchReport, BATCH_SCHEMA};

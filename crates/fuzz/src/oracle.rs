@@ -12,7 +12,7 @@
 use rumor_core::StoreDigest;
 use rumor_types::{PeerId, UpdateId};
 
-use crate::json::Json;
+use rumor_types::json::Json;
 
 /// A convergence violation found by the oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -268,7 +268,7 @@ mod tests {
         ];
         for d in &cases {
             let text = d.to_json().pretty();
-            let doc = crate::json::parse(&text).expect("parses");
+            let doc = rumor_types::json::parse(&text).expect("parses");
             assert_eq!(&Divergence::from_json(&doc).expect("decodes"), d);
         }
     }

@@ -8,9 +8,9 @@
 //! serializing the replayed record yields the committed bytes.
 
 use crate::case::{CaseOutcome, CaseSpec};
-use crate::json::{self, Json};
 use crate::oracle::Divergence;
 use rumor_obs::TraceDoc;
+use rumor_types::json::{self, Json};
 
 /// Schema tag stamped into every record artefact.
 pub const RECORD_SCHEMA: &str = "rumor-fuzz/record/v1";

@@ -2,8 +2,8 @@
 
 use crate::case::{CaseSpec, ExecPath};
 use crate::config::{ConfigError, FuzzConfig};
-use crate::json::Json;
 use crate::record::{ExecutionRecord, RECORD_SCHEMA};
+use rumor_types::json::Json;
 
 /// Schema tag stamped into batch artefacts.
 pub const BATCH_SCHEMA: &str = "rumor-fuzz/batch/v1";
@@ -145,7 +145,7 @@ mod tests {
     fn batch_artefact_carries_schema_and_counters() {
         let report = run_batch(&small_benign()).expect("valid config");
         let text = report.to_json();
-        let doc = crate::json::parse(&text).expect("artefact parses");
+        let doc = rumor_types::json::parse(&text).expect("artefact parses");
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(BATCH_SCHEMA));
         assert_eq!(doc.get("cases_run").and_then(Json::as_u32), Some(6));
         assert_eq!(

@@ -13,7 +13,7 @@ use rumor_cluster::ByzantineBehaviour;
 
 use crate::case::{behaviour_name, CaseSpec, ExecPath};
 use crate::config::{ConfigError, FuzzConfig};
-use crate::json::Json;
+use rumor_types::json::Json;
 
 /// Schema tag stamped into sweep artefacts.
 pub const SWEEP_SCHEMA: &str = "rumor-fuzz/sweep/v1";
@@ -193,7 +193,7 @@ mod tests {
         };
         let report = degradation_sweep(&config, ByzantineBehaviour::StaleReplay, &[0.0, 0.25], 2)
             .expect("valid sweep");
-        let doc = crate::json::parse(&report.to_json()).expect("artefact parses");
+        let doc = rumor_types::json::parse(&report.to_json()).expect("artefact parses");
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SWEEP_SCHEMA));
         assert_eq!(
             doc.get("behaviour").and_then(Json::as_str),

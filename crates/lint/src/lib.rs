@@ -3,9 +3,9 @@
 //!
 //! The ROADMAP states the tree's load-bearing rules in prose: one round
 //! driver and one replication harness (`rumor-sim`), the allocation-free
-//! effect-sink idiom, one wire framing owner (`rumor-wire`), seeded
-//! determinism everywhere, a layered crate graph, and `unsafe`-free
-//! library code. This crate turns each of those sentences into a named
+//! effect-sink idiom, one wire framing owner (`rumor-wire`), one JSON
+//! layer (`rumor_types::json`), seeded determinism everywhere, a layered
+//! crate graph, and `unsafe`-free library code. This crate turns each of those sentences into a named
 //! rule over the sanitised sources and the Cargo manifests, so a PR that
 //! bends an invariant fails tier-1 instead of waiting for review to
 //! notice.

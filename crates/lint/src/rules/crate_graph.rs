@@ -11,7 +11,13 @@
 //! integration tests). Additional shape constraints:
 //!
 //! * `rumor-lint` itself has **zero** dependencies — the linter cannot
-//!   be contaminated by the tree it judges.
+//!   be contaminated by the tree it judges. That is why it keeps its own
+//!   JSON writer and reader (`report.rs`) although the tree has one JSON
+//!   layer, `rumor_types::json` (rule `single-json`): depending on
+//!   `rumor-types` would break this rule. `benchmark/` keeps its own for
+//!   the mirror-image reason — it is a separate workspace that must
+//!   build against any commit of the tree, so it may use nothing the
+//!   tree could rename; this pass never scans it.
 //! * the `rumor` facade depends on exactly the thirteen library crates
 //!   it re-exports, and its `src/lib.rs` contains re-exports only — no
 //!   functions, types or logic of its own.

@@ -1,4 +1,4 @@
-//! The six codified invariants, one module per rule.
+//! The seven codified invariants, one module per rule.
 //!
 //! Every rule scans the sanitised sources (or the manifests) and emits
 //! raw [`Finding`]s; the driver in `lib.rs` then splits them into
@@ -10,6 +10,7 @@ pub mod crate_graph;
 pub mod determinism;
 pub mod forbid_unsafe;
 pub mod round_loop;
+pub mod single_json;
 pub mod sink_idiom;
 pub mod wire_framing;
 
@@ -17,10 +18,11 @@ use crate::report::Finding;
 use crate::source::SourceFile;
 
 /// Names of all rules, in the order they run.
-pub const RULE_NAMES: [&str; 6] = [
+pub const RULE_NAMES: [&str; 7] = [
     round_loop::NAME,
     sink_idiom::NAME,
     wire_framing::NAME,
+    single_json::NAME,
     determinism::NAME,
     crate_graph::NAME,
     forbid_unsafe::NAME,
@@ -32,6 +34,7 @@ pub fn run_source_rules(files: &[SourceFile]) -> Vec<Finding> {
     round_loop::check(files, &mut out);
     sink_idiom::check(files, &mut out);
     wire_framing::check(files, &mut out);
+    single_json::check(files, &mut out);
     determinism::check(files, &mut out);
     forbid_unsafe::check(files, &mut out);
     out

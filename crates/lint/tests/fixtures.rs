@@ -2,9 +2,11 @@
 //!
 //! `violations/` plants exactly one file (or manifest edge) per rule and
 //! expects each rule to catch its own; `clean/` is a healthy mini-tree
-//! whose single violation is silenced by an inline allow comment. The
-//! main workspace walker skips directories named `fixtures`, so these
-//! trees never pollute the tier-1 gate in `tests/arch_lint.rs`.
+//! whose single violation is silenced by an inline allow comment (its
+//! `crates/types/src/json.rs` declares the JSON value where `single-json`
+//! allows it). The main workspace walker skips directories named
+//! `fixtures`, so these trees never pollute the tier-1 gate in
+//! `tests/arch_lint.rs`.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -55,6 +57,7 @@ fn violations_point_at_the_planted_files() {
         find("single-wire-framing").file,
         "crates/core/src/framing.rs"
     );
+    assert_eq!(find("single-json").file, "crates/core/src/json.rs");
     assert_eq!(find("determinism").file, "crates/core/src/determinism.rs");
     assert_eq!(find("forbid-unsafe").file, "crates/core/src/lib.rs");
     assert_eq!(find("crate-graph").file, "crates/core/Cargo.toml");

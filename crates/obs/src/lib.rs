@@ -49,14 +49,11 @@
 
 pub mod analysis;
 mod event;
-pub mod json;
-mod registry;
 mod timeline;
 mod trace;
 mod tracer;
 
 pub use event::{EventKind, MsgKind, TraceEvent, CONDUCTOR};
-pub use registry::Registry;
 pub use timeline::render_timeline;
 pub use trace::{TraceDoc, TRACE_SCHEMA};
 pub use tracer::{MemTracer, NopTracer, Tracer, DEFAULT_CAPACITY};

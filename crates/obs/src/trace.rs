@@ -3,8 +3,8 @@
 
 use crate::analysis;
 use crate::event::TraceEvent;
-use crate::json::Json;
 use rumor_metrics::RoundSeries;
+use rumor_types::json::Json;
 
 /// Schema identifier written into every trace artefact.
 pub const TRACE_SCHEMA: &str = "rumor-obs/trace/v1";
@@ -96,7 +96,7 @@ impl TraceDoc {
             .iter()
             .map(|&u| {
                 Json::obj([
-                    ("update", Json::UInt(u64::from(u))),
+                    ("update", Json::from_u32(u)),
                     (
                         "awareness",
                         series_json(&analysis::awareness_curve(&self.events, u)),
@@ -108,13 +108,9 @@ impl TraceDoc {
                                 .into_iter()
                                 .map(|edge| {
                                     Json::obj([
-                                        ("node", Json::UInt(u64::from(edge.node))),
-                                        (
-                                            "parent",
-                                            edge.parent
-                                                .map_or(Json::Null, |p| Json::UInt(u64::from(p))),
-                                        ),
-                                        ("round", Json::UInt(u64::from(edge.round))),
+                                        ("node", Json::from_u32(edge.node)),
+                                        ("parent", edge.parent.map_or(Json::Null, Json::from_u32)),
+                                        ("round", Json::from_u32(edge.round)),
                                     ])
                                 })
                                 .collect(),
@@ -124,12 +120,12 @@ impl TraceDoc {
             })
             .collect();
         let doc = Json::obj([
-            ("schema", Json::str(TRACE_SCHEMA)),
-            ("label", Json::str(&self.label)),
-            ("seed", Json::UInt(self.seed)),
-            ("population", Json::UInt(u64::from(self.population))),
-            ("rounds", Json::UInt(u64::from(self.rounds()))),
-            ("event_count", Json::UInt(self.events.len() as u64)),
+            ("schema", Json::from_text(TRACE_SCHEMA)),
+            ("label", Json::from_text(&self.label)),
+            ("seed", Json::from_u64(self.seed)),
+            ("population", Json::from_u32(self.population)),
+            ("rounds", Json::from_u32(self.rounds())),
+            ("event_count", Json::from_usize(self.events.len())),
             (
                 "events",
                 Json::Arr(
@@ -205,7 +201,7 @@ fn series_json(series: &RoundSeries) -> Json {
         series
             .points()
             .iter()
-            .map(|p| Json::Arr(vec![Json::UInt(u64::from(p.round)), Json::Num(p.value)]))
+            .map(|p| Json::Arr(vec![Json::from_u32(p.round), Json::from_f64(p.value)]))
             .collect(),
     )
 }

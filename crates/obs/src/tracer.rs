@@ -1,7 +1,6 @@
 //! The [`Tracer`] sink trait and its two canonical implementations.
 
 use crate::event::{EventKind, TraceEvent};
-use crate::registry::Registry;
 use std::collections::BTreeMap;
 
 /// A sink for structured trace events.
@@ -44,8 +43,7 @@ pub const DEFAULT_CAPACITY: usize = 1 << 20;
 /// Events are stamped with a per-node monotone sequence number at
 /// capture time and kept in arrival order; once `capacity` is reached
 /// the oldest events are overwritten (the dropped count is retained so
-/// truncation is never silent). A per-node counter [`Registry`] is
-/// folded incrementally from the same stream.
+/// truncation is never silent).
 #[derive(Debug, Clone)]
 pub struct MemTracer {
     capacity: usize,
@@ -54,7 +52,6 @@ pub struct MemTracer {
     head: usize,
     dropped: u64,
     seqs: BTreeMap<u32, u32>,
-    registry: Registry,
 }
 
 impl MemTracer {
@@ -76,7 +73,6 @@ impl MemTracer {
             head: 0,
             dropped: 0,
             seqs: BTreeMap::new(),
-            registry: Registry::new(),
         }
     }
 
@@ -95,14 +91,9 @@ impl MemTracer {
         self.dropped
     }
 
-    /// The per-node counter registry folded from the captured stream.
-    pub const fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Returns the retained events in capture order, leaving the tracer
-    /// empty (sequence counters and the registry are retained, so a
-    /// tracer drained mid-run keeps stamping a coherent stream).
+    /// empty (sequence counters are retained, so a tracer drained
+    /// mid-run keeps stamping a coherent stream).
     pub fn take(&mut self) -> Vec<TraceEvent> {
         let mut events = std::mem::take(&mut self.events);
         events.rotate_left(self.head);
@@ -140,7 +131,6 @@ impl Tracer for MemTracer {
             kind,
         };
         *seq += 1;
-        self.registry.observe(&event);
         if self.events.len() < self.capacity {
             self.events.push(event);
         } else {

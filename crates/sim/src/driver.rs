@@ -12,9 +12,8 @@
 //! probe awareness).
 //!
 //! `rumor_sim::Simulation` is a thin typed wrapper over
-//! `Driver<ReplicaPeer>`; `rumor_baselines::BaselineSim` wraps the same
-//! driver for the baseline nodes. Neither contains a round loop of its
-//! own.
+//! `Driver<ReplicaPeer>`; the `rumor_baselines` protocols mount on the
+//! same driver directly. Neither contains a round loop of its own.
 
 use crate::report::{RoundObservation, RunReport, UpdateOutcome, WorkloadReport};
 use crate::scenario::ConvergenceSpec;
@@ -223,7 +222,7 @@ impl Protocol for PaperProtocol {
 
 /// Drives any population of [`Node`]s in synchronous rounds under churn,
 /// link faults and an update workload — the single round loop behind
-/// `Simulation` and `BaselineSim`.
+/// `Simulation` and every baseline.
 ///
 /// Build one by mounting a [`Protocol`] into a
 /// [`Scenario`](crate::Scenario) via [`Scenario::drive`](crate::Scenario::drive).
@@ -259,8 +258,8 @@ impl<N: Node> Driver<N> {
     /// Assembles an untraced driver from fully-constructed parts. Most
     /// callers should go through
     /// [`Scenario::drive`](crate::Scenario::drive); this is the
-    /// low-level mount point for wrappers that manage their own random
-    /// streams (e.g. `BaselineSim`'s legacy constructor).
+    /// low-level mount point for callers that manage their own random
+    /// streams (e.g. `rumor-baselines`' unit tests).
     pub fn assemble(
         nodes: Vec<N>,
         online: OnlineSet,

@@ -5,6 +5,8 @@
 //! This crate defines those vocabulary types once so that the protocol core,
 //! the churn and network substrates, the simulator and the experiment
 //! harness all speak the same language without depending on each other.
+//! The [`json`] module is here for the same reason: it is the one JSON
+//! value every artefact writer and the fuzz record reader share.
 //!
 //! # Examples
 //!
@@ -21,6 +23,7 @@
 #![warn(missing_docs)]
 
 mod ids;
+pub mod json;
 mod seed;
 mod time;
 

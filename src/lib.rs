@@ -5,7 +5,7 @@
 //! *Updates in Highly Unreliable, Replicated Peer-to-Peer Systems*
 //! (ICDCS 2003): a hybrid **push/pull rumor-spreading** update protocol
 //! for replicated data where peers are offline most of the time, plus the
-//! paper's full analytical model, a discrete-event simulator, the
+//! paper's full analytical model, a synchronous-round simulator, the
 //! baseline protocols it compares against, and a P-Grid overlay
 //! substrate.
 //!
@@ -16,17 +16,17 @@
 //! |--------|-------|----------|
 //! | [`core`] | `rumor-core` | the protocol: replica state machine, versions, partial lists, `PF(t)` policies, stores |
 //! | [`analysis`] | `rumor-analysis` | the §4 analytical model (figures & Table 2) |
-//! | [`sim`] | `rumor-sim` | the `Scenario`/`Driver`/`Protocol` experiment harness + discrete simulator over the real protocol |
+//! | [`sim`] | `rumor-sim` | the `Scenario`/`Driver`/`Protocol` experiment harness + synchronous-round simulator over the real protocol |
 //! | [`churn`] | `rumor-churn` | availability models (σ/p_on chains, on/off dwell, traces, catastrophes) |
 //! | [`net`] | `rumor-net` | sync round engine, loss/partitions, topologies |
 //! | [`wire`] | `rumor-wire` | versioned, length-prefixed binary wire codec (frames, strict decode) |
 //! | [`cluster`] | `rumor-cluster` | live runtime: sans-IO nodes on OS threads, a sharded worker pool, or virtual time, exchanging encoded frames |
 //! | [`fuzz`] | `rumor-fuzz` | seeded chaos fuzzer: random scenarios + Byzantine peers vs the convergence oracle, replayable records |
-//! | [`obs`] | `rumor-obs` | deterministic structured tracing: `Tracer` sinks, canonical trace merge, dissemination timelines, per-node registry |
+//! | [`obs`] | `rumor-obs` | deterministic structured tracing: `Tracer` sinks, canonical trace merge, dissemination timelines |
 //! | [`baselines`] | `rumor-baselines` | Gnutella, pure flooding, Haas GOSSIP1, Demers anti-entropy & rumor mongering |
 //! | [`pgrid`] | `rumor-pgrid` | the P-Grid trie overlay hosting the protocol |
 //! | [`metrics`] | `rumor-metrics` | counters, series, histograms, tables |
-//! | [`types`] | `rumor-types` | shared ids, rounds, seeds |
+//! | [`types`] | `rumor-types` | shared ids, rounds, seeds, the one JSON value ([`types::json`]) |
 //!
 //! # Quickstart
 //!

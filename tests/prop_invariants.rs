@@ -1,14 +1,16 @@
 //! Property-based invariants across the workspace (proptest).
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rumor::analysis::{PfSchedule, PushModel, PushParams};
 use rumor::core::{
     DeltaAnswer, DiscardStrategy, Lineage, Message, PartialList, PushMessage, ReplicaStore,
     StoreDigest, TruncationPolicy, Update, Value, VersionRelation,
 };
+use rumor::obs::{EventKind, MsgKind, TraceDoc, TraceEvent, CONDUCTOR};
 use rumor::pgrid::Path;
+use rumor::types::json::{self, Json};
 use rumor::types::{DataKey, PeerId, VersionId};
 use rumor::wire::encode_frame;
 
@@ -109,6 +111,52 @@ fn list_wire_bytes(peers: &[PeerId]) -> Vec<u8> {
         bytes.extend(p.as_u32().to_be_bytes());
     }
     bytes
+}
+
+/// Keys and string values for generated documents: every escape the
+/// printer knows, raw non-ASCII, and an update id as the fuzz records
+/// carry it (39 digits, a string because no JSON number holds a `u128`).
+const JSON_TEXTS: [&str; 6] = [
+    "",
+    "plain",
+    "q\"uote \\ back/slash",
+    "ctl \u{1}\n\r\t\u{1f}",
+    "caf\u{e9} \u{4e16}\u{754c} \u{1f600}",
+    "166104863007733312778659178587220685885",
+];
+
+/// A document nested at most `depth` containers deep, drawing its numbers
+/// from the constructors the artefact writers use.
+fn json_doc(r: &mut ChaCha8Rng, depth: usize) -> Json {
+    let kind = if depth > 0 && r.gen_bool(0.8) {
+        r.gen_range(7..9)
+    } else {
+        r.gen_range(0..7)
+    };
+    match kind {
+        0 => Json::Null,
+        1 => Json::Bool(r.gen()),
+        2 => Json::from_u64(u64::MAX - r.gen_range(0u64..3)),
+        3 => Json::from_usize(r.gen_range(0..100_000)),
+        4 => Json::from_f64(r.gen_range(-1e6..1e6)),
+        5 => Json::from_f64(f64::from(r.gen_range(-5i32..5))),
+        6 => Json::from_text(JSON_TEXTS[r.gen_range(0..JSON_TEXTS.len())]),
+        7 => {
+            let len = r.gen_range(0..5);
+            Json::Arr((0..len).map(|_| json_doc(r, depth - 1)).collect())
+        }
+        _ => {
+            let len = r.gen_range(0..5);
+            Json::Obj(
+                (0..len)
+                    .map(|_| {
+                        let key = JSON_TEXTS[r.gen_range(0..JSON_TEXTS.len())];
+                        (key.to_owned(), json_doc(r, depth - 1))
+                    })
+                    .collect(),
+            )
+        }
+    }
 }
 
 proptest! {
@@ -525,4 +573,131 @@ proptest! {
         let v = VersionId::from_bits(bits);
         prop_assert_eq!(v.to_bits(), bits);
     }
+
+    #[test]
+    fn json_print_and_parse_are_inverse(seed in any::<u64>()) {
+        let doc = json_doc(&mut rng(seed), 6);
+        let text = doc.pretty();
+        let parsed = json::parse(&text).expect("the printer emits what the parser reads");
+        prop_assert_eq!(&parsed, &doc);
+        prop_assert_eq!(parsed.pretty(), text);
+    }
+}
+
+#[test]
+fn json_spells_non_finite_floats_as_null() {
+    let doc = Json::Arr(
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5]
+            .map(Json::from_f64)
+            .to_vec(),
+    );
+    assert_eq!(doc.pretty(), "[\n  null,\n  null,\n  null,\n  -0.5\n]");
+    assert_eq!(
+        json::parse(&doc.pretty()).map(|d| d.pretty()),
+        Ok(doc.pretty())
+    );
+}
+
+// One case per JSON layer the shared value replaced, each on the number
+// convention that layer's callers relied on. The expected bytes were
+// produced by the three former printers.
+
+#[test]
+fn trace_artefact_bytes_did_not_move() {
+    // obs: `UInt` for seeds and counts, `Num` (`1.0`) for series values,
+    // one compact event per line.
+    let ev = |round, node, seq, kind| TraceEvent {
+        round,
+        node,
+        seq,
+        kind,
+    };
+    let send = EventKind::Send {
+        to: 1,
+        kind: MsgKind::Push,
+        bytes: 80,
+    };
+    let doc = TraceDoc::new(
+        "bytes \"pinned\"",
+        u64::MAX,
+        2,
+        vec![
+            ev(0, CONDUCTOR, 0, EventKind::RoundStart),
+            ev(0, 0, 0, send),
+        ],
+    );
+    let expected = r#"{
+  "schema": "rumor-obs/trace/v1",
+  "label": "bytes \"pinned\"",
+  "seed": 18446744073709551615,
+  "population": 2,
+  "rounds": 1,
+  "event_count": 2,
+  "events": [
+    {"round":0,"node":"conductor","seq":0,"ev":"round_start"},
+    {"round":0,"node":0,"seq":0,"ev":"send","to":1,"kind":"push","bytes":80}
+  ],
+  "derived": {
+    "sends_per_round": [
+      [
+        0,
+        1.0
+      ]
+    ],
+    "bytes_per_round": [
+      [
+        0,
+        80.0
+      ]
+    ],
+    "updates": []
+  }
+}
+"#;
+    assert_eq!(doc.to_json(), expected);
+}
+
+#[test]
+fn experiment_artefact_bytes_did_not_move() {
+    // bench: `Int` for every unsigned field, `Num` for every `f64` (no
+    // `.0` from 1e15 up, where `Display` already prints every digit).
+    let row = rumor_bench::head_to_head::ContenderRow {
+        protocol: "paper".into(),
+        protocol_messages: 12,
+        total_messages: 1 << 40,
+        total_bytes: 7,
+        mean_message_bytes: 1.5e16,
+        messages_per_initial_online: 1.0 / 3.0,
+        coverage: 1.0,
+        rounds: 9,
+        total_wasted: 0,
+        wasted_fraction: 0.0,
+    };
+    let expected = r#"[
+  {
+    "protocol": "paper",
+    "protocol_messages": 12,
+    "total_messages": 1099511627776,
+    "total_bytes": 7,
+    "mean_message_bytes": 15000000000000000,
+    "messages_per_initial_online": 0.3333333333333333,
+    "coverage": 1.0,
+    "rounds": 9
+  }
+]"#;
+    assert_eq!(rumor_bench::render::to_json(&vec![row]), expected);
+}
+
+#[test]
+fn fuzz_record_bytes_did_not_move() {
+    // fuzz: numbers are their literal text, so a committed record — a
+    // 64-bit seed, 16-digit knobs — re-prints as the bytes on disk.
+    let fixture = include_str!("fixtures/fuzz_record_digest_lie.json");
+    let doc = json::parse(fixture).expect("committed record parses");
+    assert_eq!(doc.pretty() + "\n", fixture);
+    let seed = doc.get("case").and_then(|c| c.get("seed"));
+    assert_eq!(
+        seed.and_then(Json::as_u64),
+        Some(15_770_071_848_919_039_649)
+    );
 }
