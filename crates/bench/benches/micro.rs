@@ -274,12 +274,65 @@ fn bench_peer_handle(c: &mut Criterion) {
     });
 }
 
+/// Membership upkeep and the selection that reads it, at the sizes the
+/// benchmark workloads (N = 1 200) and `BENCH_cluster.json` (N = 10 000)
+/// run.
+fn bench_peer_membership(c: &mut Criterion) {
+    let big = ProtocolConfig::builder(10_000).build().expect("valid");
+    // Every tenth id is new and lands between ids already known.
+    let fresh: Vec<PeerId> = (0..10_000).step_by(10).map(PeerId::new).collect();
+    c.bench_function("peer/learn_1000_new_replicas_r10000", |b| {
+        b.iter_batched(
+            || {
+                let mut p = ReplicaPeer::new(PeerId::new(1), big.clone());
+                p.learn_replicas((0..10_000).filter(|id| id % 10 != 0).map(PeerId::new));
+                p
+            },
+            |mut p| {
+                assert_eq!(p.learn_replicas(fresh.iter().copied()), 1_000);
+                p
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    let steady = ProtocolConfig::builder(1_200)
+        .fanout_absolute(4)
+        .build()
+        .expect("valid");
+    c.bench_function("peer/trigger_pull_r1200", |b| {
+        let mut p = ReplicaPeer::new(PeerId::new(0), steady.clone());
+        p.learn_replicas((1..1_200).map(PeerId::new));
+        let (mut local, mut out) = (rng(), EffectSink::new());
+        b.iter(|| {
+            out.clear();
+            p.trigger_pull(Round::new(1), &mut local, &mut out);
+            std::hint::black_box(out.len())
+        })
+    });
+
+    let sum_known = |p: &ReplicaPeer| {
+        p.known_replicas()
+            .map(|k| u64::from(k.as_u32()))
+            .sum::<u64>()
+    };
+    for (name, stride) in [
+        ("peer_set/iter_1200_dense", 1),
+        ("peer_set/iter_1200_sparse", 4_099),
+    ] {
+        let mut p = ReplicaPeer::new(PeerId::new(0), steady.clone());
+        p.learn_replicas((1..=1_200).map(|i| PeerId::new(i * stride)));
+        c.bench_function(name, |b| b.iter(|| std::hint::black_box(sum_known(&p))));
+    }
+}
+
 criterion_group!(
     micro,
     bench_lineage,
     bench_partial_list,
     bench_store,
     bench_message_codec,
-    bench_peer_handle
+    bench_peer_handle,
+    bench_peer_membership
 );
 criterion_main!(micro);

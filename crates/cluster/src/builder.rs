@@ -170,6 +170,7 @@ where
                 builder.delay,
             );
             cell.set_wire(builder.wire);
+            cell.set_population(scenario.population());
             if builder.trace {
                 cell.enable_trace(protocol.trace_msg_kind());
             }

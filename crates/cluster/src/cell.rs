@@ -144,6 +144,9 @@ pub(crate) struct NodeCell<N: Node> {
     delay: DelaySpec,
     byz: Option<ByzantineState<N::Msg>>,
     wire: WireVersion,
+    /// Cells in the cluster: a frame addressed beyond them has no inbox
+    /// to reach (see [`Self::emit`]).
+    population: usize,
     /// Wire-v2 send staging: `(target, message)` pairs accumulated over
     /// one tick, flushed per peer as (batch) frames at the tick's end
     /// (a flushed message leaves `None` behind until the buffer is
@@ -184,6 +187,7 @@ where
             delay,
             byz: None,
             wire: WireVersion::V1,
+            population: usize::MAX,
             outbox: Vec::new(),
             group_scratch: Vec::new(),
             decode_scratch: Vec::new(),
@@ -218,6 +222,12 @@ where
     /// per-peer traffic into batch frames and decodes both versions.
     pub fn set_wire(&mut self, wire: WireVersion) {
         self.wire = wire;
+    }
+
+    /// Tells the cell how many cells the cluster mounts (ids
+    /// `0..population`). A lone cell routes every address.
+    pub fn set_population(&mut self, population: usize) {
+        self.population = population;
     }
 
     /// Frames queued (not yet delivered or dropped).
@@ -321,6 +331,12 @@ where
     /// group of one. The Byzantine layer tampers per *frame*, and a
     /// stale-replay turn adds a second, remembered frame to the same
     /// target.
+    ///
+    /// Nodes learn ids from the wire, so `to` may lie outside the
+    /// population: a replica that is never online. Its frame is counted
+    /// and traced as sent like any other, then lost-to-offline here at
+    /// the sender instead of dispatched, which keeps `sent == consumed`
+    /// closing.
     fn emit(
         &mut self,
         to: PeerId,
@@ -363,6 +379,10 @@ where
                     bytes: frame.len() as u32,
                 },
             );
+            if to.index() >= self.population {
+                self.stats.lost_offline += 1;
+                continue;
+            }
             dispatch(
                 to,
                 Envelope {

@@ -82,7 +82,7 @@ pub use message::{Message, PushMessage, REPLICA_ENTRY_BYTES};
 pub use partial_list::{DiscardStrategy, PartialList, TruncationPolicy};
 pub use peer::{PeerStats, ReplicaPeer};
 pub use query::{QueryAnswer, QueryPolicy};
-pub use select::{select_targets, select_targets_into, SelectScratch};
+pub use select::select_targets;
 pub use store::{ApplyOutcome, DeltaAnswer, ReplicaStore, StoredVersion};
 pub use update::Update;
 pub use value::Value;

@@ -7,7 +7,7 @@ use crate::message::{Message, PushMessage};
 use crate::partial_list::PartialList;
 use crate::peer_set::PeerSet;
 use crate::query::QueryAnswer;
-use crate::select::{select_targets_into, SelectScratch};
+use crate::select::select_ascending;
 use crate::store::{DeltaAnswer, ReplicaStore};
 use crate::update::Update;
 use crate::value::Value;
@@ -88,12 +88,11 @@ pub struct ReplicaPeer {
     id: PeerId,
     config: ProtocolConfig,
     store: ReplicaStore,
-    /// Known replicas, sorted, self excluded (target selection and its
-    /// random stream run over this order).
-    known: Vec<PeerId>,
-    /// Membership of `known` plus this peer's own id: "nothing to learn
-    /// from this peer" is one bit test, from a whole flood list a
-    /// word-wise compare.
+    /// The replica list plus this peer's own id — the one copy of what
+    /// the peer knows. Target selection and its random stream run over
+    /// the set's ascending order, own id skipped; "nothing to learn from
+    /// this peer" is one bit test, from a whole flood list a word-wise
+    /// compare.
     familiar: PeerSet,
     processed: BTreeMap<UpdateId, ProcessedState>,
     /// Peers that acked recently: preferred targets (round of last ack).
@@ -105,8 +104,6 @@ pub struct ReplicaPeer {
     online: bool,
     pull_retries_left: u32,
     stats: PeerStats,
-    /// Reusable tier buffers for target selection (hot path).
-    select_scratch: SelectScratch,
     /// Reusable selection output (push targets, pull targets).
     targets_scratch: Vec<PeerId>,
     /// Reusable selection output for the pre-filter set `R_p`.
@@ -126,7 +123,6 @@ impl ReplicaPeer {
             id,
             config,
             store: ReplicaStore::new(),
-            known: Vec::new(),
             familiar,
             processed: BTreeMap::new(),
             acked_by: BTreeMap::new(),
@@ -136,7 +132,6 @@ impl ReplicaPeer {
             online: true,
             pull_retries_left: 0,
             stats: PeerStats::default(),
-            select_scratch: SelectScratch::default(),
             targets_scratch: Vec::new(),
             rp_scratch: Vec::new(),
         }
@@ -145,14 +140,8 @@ impl ReplicaPeer {
     /// Adds replicas to this peer's local knowledge (replica list).
     /// Returns how many were previously unknown.
     pub fn learn_replicas(&mut self, peers: impl IntoIterator<Item = PeerId>) -> usize {
-        let mut new = 0;
-        for p in peers {
-            if self.familiar.insert(p) {
-                let pos = self.known.partition_point(|&k| k < p);
-                self.known.insert(pos, p);
-                new += 1;
-            }
-        }
+        let familiar = &mut self.familiar;
+        let new = peers.into_iter().filter(|&p| familiar.insert(p)).count();
         self.stats.replicas_discovered += new as u64;
         new
     }
@@ -176,9 +165,16 @@ impl ReplicaPeer {
         &self.store
     }
 
-    /// The replicas this peer currently knows (sorted).
-    pub fn known_replicas(&self) -> &[PeerId] {
-        &self.known
+    /// The replicas this peer currently knows, in ascending id order.
+    pub fn known_replicas(&self) -> impl Iterator<Item = PeerId> + '_ {
+        let own = self.id;
+        self.familiar.iter().filter(move |&p| p != own)
+    }
+
+    /// How many replicas this peer currently knows.
+    pub fn known_count(&self) -> usize {
+        // The peer's own id is a member from construction.
+        self.familiar.len() - 1
     }
 
     /// Whether this peer has processed (seen) the given update event.
@@ -242,18 +238,8 @@ impl ReplicaPeer {
             .insert(update.id(), ProcessedState::default());
         self.note_info(round);
 
-        let fanout = self.config.push_targets();
-        let (preferred, avoided) = self.selection_bias(round);
         let mut targets = std::mem::take(&mut self.targets_scratch);
-        select_targets_into(
-            &self.known,
-            fanout,
-            &preferred,
-            &avoided,
-            rng,
-            &mut self.select_scratch,
-            &mut targets,
-        );
+        self.select_known(self.config.push_targets(), round, rng, &mut targets);
         let mut flood_list = PartialList::from_peers([self.id]);
         flood_list.extend(targets.iter().copied());
         flood_list.truncate(&self.config.truncation, self.config.total_replicas, rng);
@@ -290,21 +276,12 @@ impl ReplicaPeer {
         rng: &mut ChaCha8Rng,
         out: &mut EffectSink<Message>,
     ) {
-        if self.known.is_empty() {
+        if self.known_count() == 0 {
             return;
         }
         self.stats.pulls_initiated += 1;
-        let (preferred, avoided) = self.selection_bias(round);
         let mut targets = std::mem::take(&mut self.targets_scratch);
-        select_targets_into(
-            &self.known,
-            self.config.pull.fanout,
-            &preferred,
-            &avoided,
-            rng,
-            &mut self.select_scratch,
-            &mut targets,
-        );
+        self.select_known(self.config.pull.fanout, round, rng, &mut targets);
         for &to in &targets {
             let request = if self.config.pull.delta {
                 // Wire v2 names this replica's state by its digest
@@ -345,27 +322,31 @@ impl ReplicaPeer {
         self.confident = true;
     }
 
-    /// Preferred/avoided peers for target selection under the ack
-    /// heuristic (§6). With acks disabled both sets are empty and the
+    /// Selects up to `count` of the known replicas into `out` under the
+    /// ack heuristic (§6): peers that acked within the cool-off are
+    /// preferred, peers pushed to in an earlier round of it that have not
+    /// acked are avoided. With acks disabled nobody is either and the
     /// selection is uniform.
-    fn selection_bias(&self, round: Round) -> (Vec<PeerId>, Vec<PeerId>) {
-        if matches!(self.config.ack, AckPolicy::None) {
-            return (Vec::new(), Vec::new());
-        }
+    fn select_known(
+        &self,
+        count: usize,
+        round: Round,
+        rng: &mut ChaCha8Rng,
+        out: &mut Vec<PeerId>,
+    ) {
+        let biased = !matches!(self.config.ack, AckPolicy::None);
         let cool = self.config.ack_cooloff_rounds;
-        let preferred: Vec<PeerId> = self
+        let preferred = self
             .acked_by
             .iter()
-            .filter(|(_, &r)| round - r <= cool)
-            .map(|(&p, _)| p)
-            .collect();
-        let avoided: Vec<PeerId> = self
+            .filter(move |&(_, &acked)| biased && round - acked <= cool)
+            .map(|(&p, _)| p);
+        let avoided = self
             .awaiting_ack
             .iter()
-            .filter(|(_, &r)| round - r <= cool && round > r)
-            .map(|(&p, _)| p)
-            .collect();
-        (preferred, avoided)
+            .filter(move |&(_, &sent)| biased && round - sent <= cool && round > sent)
+            .map(|(&p, _)| p);
+        select_ascending(self.known_replicas(), count, preferred, avoided, rng, out);
     }
 
     fn send_pushes(
@@ -456,18 +437,8 @@ impl ReplicaPeer {
         let forward = pf > 0.0 && (pf >= 1.0 || rng.gen_bool(pf));
         if forward {
             self.stats.pushes_forwarded += 1;
-            let fanout = self.config.push_targets();
-            let (preferred, avoided) = self.selection_bias(round);
             let mut r_p = std::mem::take(&mut self.rp_scratch);
-            select_targets_into(
-                &self.known,
-                fanout,
-                &preferred,
-                &avoided,
-                rng,
-                &mut self.select_scratch,
-                &mut r_p,
-            );
+            self.select_known(self.config.push_targets(), round, rng, &mut r_p);
             let mut targets = std::mem::take(&mut self.targets_scratch);
             targets.clear();
             targets.extend(
@@ -867,7 +838,7 @@ mod tests {
         );
         for id in [50, 60, 61] {
             assert!(
-                p.known_replicas().contains(&PeerId::new(id)),
+                p.known_replicas().any(|k| k == PeerId::new(id)),
                 "learned {id}"
             );
         }
@@ -888,7 +859,7 @@ mod tests {
             &mut dup,
         );
         assert!(dup.is_empty(), "FirstK(2) budget spent: {dup:?}");
-        assert!(p.known_replicas().contains(&PeerId::new(62)));
+        assert!(p.known_replicas().any(|k| k == PeerId::new(62)));
         assert_eq!(p.stats().acks_sent, 2);
         assert_eq!(p.duplicates_of(update.id()), 2);
     }
@@ -921,8 +892,7 @@ mod tests {
 
         // The reference: what 200 more copies may change is the duplicate
         // and ack counters and the replicas their lists and senders name.
-        let mut expected_known: std::collections::BTreeSet<PeerId> =
-            p.known_replicas().iter().copied().collect();
+        let mut expected_known: std::collections::BTreeSet<PeerId> = p.known_replicas().collect();
         let mut acks = 0;
         for i in 0..200u32 {
             let sender = 100 + i;
@@ -948,8 +918,8 @@ mod tests {
         expected_known.remove(&PeerId::new(0));
         assert_eq!(acks, 2, "FirstK(3): the first copy took one of three");
 
-        let known: Vec<PeerId> = expected_known.into_iter().collect();
-        assert_eq!(p.known_replicas(), known);
+        let known: Vec<_> = expected_known.into_iter().collect();
+        assert_eq!(p.known_replicas().collect::<Vec<_>>(), known);
         assert_eq!(p.processed.len(), 1);
         let state = &p.processed[&update.id()];
         assert_eq!(
@@ -991,7 +961,7 @@ mod tests {
             &mut out,
         );
         assert_eq!(p.familiar.word_count(), before + 2);
-        assert_eq!(p.known_replicas().len(), 99 + 2);
+        assert_eq!(p.known_count(), 99 + 2);
         assert_eq!(p.stats().replicas_discovered, 99 + 2);
     }
 
@@ -1611,7 +1581,105 @@ mod tests {
         let mut p = peer_with(10, 0.2);
         assert_eq!(p.learn_replicas([PeerId::new(0), PeerId::new(1)]), 0);
         assert_eq!(p.learn_replicas([PeerId::new(42)]), 1);
-        assert!(p.known_replicas().windows(2).all(|w| w[0] < w[1]), "sorted");
+        let known: Vec<_> = p.known_replicas().collect();
+        assert!(known.windows(2).all(|w| w[0] < w[1]), "sorted");
+    }
+
+    #[test]
+    fn selection_is_select_targets_under_the_cool_off_filters() {
+        use crate::select::select_targets;
+        let cool = 3;
+        for (policy, own) in [
+            (AckPolicy::FirstK(2), 0),
+            (AckPolicy::FirstSender, 57),
+            (AckPolicy::None, 119),
+        ] {
+            let config = ProtocolConfig::builder(120)
+                .ack(policy)
+                .ack_cooloff_rounds(cool)
+                .build()
+                .unwrap();
+            let mut p = ReplicaPeer::new(PeerId::new(own), config);
+            p.learn_replicas((0..120).map(PeerId::new));
+            // Acks and pushes of rounds 0..=9, several per round; peers
+            // 30..50 are in both maps, one entry names the peer itself.
+            for id in (10..50).chain([own]) {
+                p.acked_by.insert(PeerId::new(id), Round::new(id % 10));
+            }
+            for id in (30..90).chain([own]) {
+                p.awaiting_ack
+                    .insert(PeerId::new(id), Round::new(id * 7 % 10));
+            }
+            let known: Vec<_> = p.known_replicas().collect();
+            assert_eq!(known.len(), 119);
+            let biased = policy != AckPolicy::None;
+            let mut out = Vec::new();
+            // Before, inside (same-round entries included) and past every
+            // entry's cool-off.
+            for now in [0, 4, 9, 12, 13, 40] {
+                let round = Round::new(now);
+                let preferred: Vec<PeerId> = (p.acked_by.iter())
+                    .filter(|(_, &r)| biased && round - r <= cool)
+                    .map(|(&peer, _)| peer)
+                    .collect();
+                let avoided: Vec<PeerId> = (p.awaiting_ack.iter())
+                    .filter(|(_, &r)| biased && round - r <= cool && round > r)
+                    .map(|(&peer, _)| peer)
+                    .collect();
+                assert_eq!(preferred.is_empty(), !biased || now > 12, "round {now}");
+                for count in [0, 1, 3, 64, 119, 500] {
+                    let mut reference_rng = ChaCha8Rng::seed_from_u64(u64::from(now));
+                    let reference =
+                        select_targets(&known, count, &preferred, &avoided, &mut reference_rng);
+                    let mut r = ChaCha8Rng::seed_from_u64(u64::from(now));
+                    p.select_known(count, round, &mut r, &mut out);
+                    assert_eq!(out, reference, "round {now} count {count}");
+                    assert_eq!(r.gen::<u64>(), reference_rng.gen::<u64>());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn membership_is_one_bitset_and_no_buffer_follows_the_population() {
+        let config = ProtocolConfig::builder(10_001)
+            .fanout_absolute(8)
+            .build()
+            .unwrap();
+        let bound = config.push_targets().max(config.pull.fanout);
+        let mut p = ReplicaPeer::new(PeerId::new(0), config);
+        assert_eq!(p.learn_replicas((1..=10_000).map(PeerId::new)), 10_000);
+        assert_eq!(p.known_count(), 10_000);
+        assert_eq!(p.familiar.word_count(), 10_001usize.div_ceil(64));
+
+        let mut r = rng();
+        let mut out = sink();
+        for round in 0..100 {
+            p.trigger_pull(Round::new(round), &mut r, &mut out);
+        }
+        let update = Update::write(
+            DataKey::new(9),
+            Lineage::root(&mut r),
+            Value::from("v"),
+            PeerId::new(7),
+        );
+        out.clear();
+        p.on_message(
+            PeerId::new(7),
+            push_msg(&update, 1, [7]),
+            Round::new(100),
+            &mut r,
+            &mut out,
+        );
+        assert_eq!(p.stats().pulls_initiated, 100);
+        assert_eq!(p.stats().push_messages_sent, 8);
+        assert!(p.targets_scratch.capacity() <= bound);
+        assert!(p.rp_scratch.capacity() <= bound);
+
+        // Learning a familiar id is a bit test: no word is opened.
+        assert_eq!(p.learn_replicas([PeerId::new(0), PeerId::new(9_999)]), 0);
+        assert_eq!(p.familiar.word_count(), 10_001usize.div_ceil(64));
+        assert_eq!(p.stats().replicas_discovered, 10_000);
     }
 
     #[test]

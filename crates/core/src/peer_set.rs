@@ -119,6 +119,68 @@ impl PeerSet {
     pub(crate) fn word_count(&self) -> usize {
         self.words.len()
     }
+
+    /// Number of members: one popcount per stored word.
+    pub(crate) fn len(&self) -> usize {
+        let ones = self.words.iter().map(|&(_, bits)| bits.count_ones());
+        ones.sum::<u32>() as usize
+    }
+
+    /// The members in ascending id order.
+    pub(crate) fn iter(&self) -> Iter<'_> {
+        Iter {
+            words: self.words.iter(),
+            base: 0,
+            bits: 0,
+        }
+    }
+}
+
+/// Ascending iterator over a [`PeerSet`]'s members.
+///
+/// An id is rebuilt as `word number << 6 | bit position`, which cannot
+/// overflow: the top word is `0xFFFF_FFC0..=u32::MAX`.
+#[derive(Debug, Clone)]
+pub(crate) struct Iter<'a> {
+    words: std::slice::Iter<'a, (u32, u64)>,
+    /// First id of the word being emitted.
+    base: u32,
+    /// Its members not yet emitted.
+    bits: u64,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = PeerId;
+
+    fn next(&mut self) -> Option<PeerId> {
+        while self.bits == 0 {
+            let &(number, bits) = self.words.next()?;
+            (self.base, self.bits) = (number << 6, bits);
+        }
+        let id = self.base | self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        Some(PeerId::new(id))
+    }
+
+    /// Internal iteration (`for_each`, `extend` through adaptors): a full
+    /// word — every word but the last of a population numbered from zero —
+    /// is emitted as a run of 64 consecutive ids, no bit scan.
+    fn fold<B, F: FnMut(B, PeerId) -> B>(self, init: B, mut f: F) -> B {
+        let pending = std::iter::once((self.base >> 6, self.bits));
+        pending
+            .chain(self.words.copied())
+            .fold(init, |mut acc, (number, mut bits)| {
+                let base = number << 6;
+                if bits == u64::MAX {
+                    return (0..64).fold(acc, |acc, bit| f(acc, PeerId::new(base | bit)));
+                }
+                while bits != 0 {
+                    acc = f(acc, PeerId::new(base | bits.trailing_zeros()));
+                    bits &= bits - 1;
+                }
+                acc
+            })
+    }
 }
 
 #[cfg(test)]
@@ -183,6 +245,42 @@ mod tests {
         let kept: Vec<u32> = staged.iter().map(|p| p.as_u32()).collect();
         assert_eq!(kept, [9, 1, 9, 4_000], "position 0 is not staged");
         assert_eq!(s, set([5, 70, 1, 9, 4_000]));
+    }
+
+    #[test]
+    fn iter_ascends_over_every_member_by_next_and_by_fold() {
+        let top_word = 0xFFFF_FFC0..=u32::MAX;
+        let cases: [Vec<u32>; 6] = [
+            vec![],
+            (0..1_200).collect(),
+            (0..64).collect(),
+            (0..300).map(|i| i * 4_099 + 17).collect(),
+            (5..130).chain(top_word.clone()).collect(),
+            vec![63, 64, u32::MAX - 64, u32::MAX],
+        ];
+        for ids in cases {
+            let s = set(ids.iter().rev().copied());
+            let expected: Vec<PeerId> = ids.iter().map(|&id| PeerId::new(id)).collect();
+            assert_eq!(s.len(), expected.len());
+            let mut by_next = Vec::new();
+            for peer in s.iter() {
+                by_next.push(peer);
+            }
+            assert_eq!(by_next, expected);
+            let mut by_fold = Vec::new();
+            s.iter().for_each(|peer| by_fold.push(peer));
+            assert_eq!(by_fold, expected);
+            // A fold picks up where `next` stopped, mid-word included.
+            for taken in [1, 63, 64, 65] {
+                let mut it = s.iter();
+                let head: Vec<PeerId> = it.by_ref().take(taken).collect();
+                let tail: Vec<PeerId> = it.fold(head, |mut all, peer| {
+                    all.push(peer);
+                    all
+                });
+                assert_eq!(tail, expected, "resumed after {taken}");
+            }
+        }
     }
 
     #[test]

@@ -242,11 +242,20 @@ impl<M: Clone, T: Tracer> SyncEngine<M, T> {
                     );
                 }
                 self.sent_this_round += 1;
-                self.in_flight += 1;
-                if into_current {
-                    self.current[to.index()].push((from, msg));
+                let queue = if into_current {
+                    &mut self.current
                 } else {
-                    self.next[to.index()].push((from, msg));
+                    &mut self.next
+                };
+                // Ids are learned from the wire, so a node may address a
+                // peer outside the population: a replica that is never
+                // online. The send counts, nothing is queued.
+                match queue.get_mut(to.index()) {
+                    Some(inbox) => {
+                        inbox.push((from, msg));
+                        self.in_flight += 1;
+                    }
+                    None => self.stats.lost_offline += 1,
                 }
             }
             Effect::Timer { delay, tag } => {

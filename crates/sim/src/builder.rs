@@ -221,7 +221,7 @@ mod tests {
             .topology(TopologySpec::RandomSubset { k: 5 })
             .build()
             .unwrap();
-        assert!((0..50).all(|i| sim.peer(PeerId::new(i)).known_replicas().len() == 5));
+        assert!((0..50).all(|i| sim.peer(PeerId::new(i)).known_count() == 5));
     }
 
     #[test]

@@ -517,6 +517,6 @@ mod tests {
             .build()
             .unwrap();
         let driver = scenario.drive(&paper(50));
-        assert!((0..50).all(|i| driver.node(PeerId::new(i)).known_replicas().len() == 5));
+        assert!((0..50).all(|i| driver.node(PeerId::new(i)).known_count() == 5));
     }
 }

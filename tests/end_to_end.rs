@@ -152,10 +152,10 @@ fn partial_knowledge_with_discovery_still_converges() {
         .protocol(config)
         .build()
         .unwrap();
-    let before: usize = sim.peer(PeerId::new(42)).known_replicas().len();
+    let before: usize = sim.peer(PeerId::new(42)).known_count();
     let report = sim.propagate(key(), "discover", 60);
     assert!(report.aware_online_fraction > 0.95, "{report:?}");
-    let after: usize = sim.peer(PeerId::new(42)).known_replicas().len();
+    let after: usize = sim.peer(PeerId::new(42)).known_count();
     assert!(
         after > before,
         "flood lists must teach peers new replica addresses ({before} -> {after})"
