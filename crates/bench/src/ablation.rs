@@ -5,7 +5,6 @@ use rumor_core::{
     AckPolicy, DiscardStrategy, ForwardPolicy, ProtocolConfig, PullStrategy, TruncationPolicy,
 };
 use rumor_sim::{Scenario, TopologySpec};
-use rumor_types::DataKey;
 use serde::{Deserialize, Serialize};
 
 /// One ablation row.
@@ -40,13 +39,17 @@ fn run(
         .churn(MarkovChurn::new(sigma, p_on).expect("valid churn"))
         .build()
         .expect("valid scenario");
-    let mut sim = scenario.simulation(config);
-    let report = sim.propagate(DataKey::from_name("ablation"), "v", 80);
+    let (driver, report) = crate::simfig::push_once(&scenario, config, "ablation", 80);
+    let duplicates: u64 = driver
+        .nodes()
+        .iter()
+        .map(|p| p.stats().duplicates_received)
+        .sum();
     let denom = online as f64;
     AblationRow {
         variant: variant.to_owned(),
-        push_cost: report.push_messages as f64 / denom,
-        duplicates: report.duplicates as f64 / denom,
+        push_cost: report.protocol_messages as f64 / denom,
+        duplicates: duplicates as f64 / denom,
         total_cost: report.total_messages as f64 / denom,
         awareness: report.aware_online_fraction,
         rounds: report.rounds,
@@ -119,7 +122,7 @@ pub fn acks(seed: u64) -> Vec<AblationRow> {
         run("no acks", base(AckPolicy::None), R, ON, 0.95, 0.0, seed),
         run(
             "ack first sender",
-            base(AckPolicy::FirstSender),
+            base(AckPolicy::FirstK(1)),
             R,
             ON,
             0.95,

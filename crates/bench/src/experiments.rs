@@ -284,9 +284,9 @@ mod tests {
             );
         }
         // At σ = 0.5 the population drains faster than the rumor spreads:
-        // the exact-expectation recursion flags it as died (the paper's
-        // ceiling-capped evaluation snaps such runs to F_aware = 1; see
-        // EXPERIMENTS.md).
+        // the exact-expectation recursion flags it as died, where the
+        // paper's ceiling-capped evaluation snaps such runs to
+        // F_aware = 1 (ROADMAP item 12).
         assert!(all.last().unwrap().died);
     }
 
@@ -321,7 +321,7 @@ mod tests {
         );
         // Coverage stays high across four orders of magnitude; the slow
         // drift below the 0.9 died-threshold at 10^7+ is the exact
-        // recursion's saturation tail (EXPERIMENTS.md).
+        // recursion's saturation tail (ROADMAP item 12).
         assert!(all.iter().all(|s| s.final_awareness > 0.8));
     }
 

@@ -14,7 +14,6 @@ use rumor_churn::{Churn, HeterogeneousChurn, MarkovChurn};
 use rumor_core::{ProtocolConfig, PullStrategy};
 use rumor_metrics::SampleStats;
 use rumor_sim::{Experiment, ReplicatedReport, Scenario};
-use rumor_types::DataKey;
 use serde::{Deserialize, Serialize};
 
 /// Outcome of the bimodality experiment.
@@ -60,8 +59,8 @@ pub fn bimodal(trials: u32, seed: u64) -> BimodalReport {
             .online_fraction(0.15)
             .build()
             .expect("valid scenario");
-        let mut sim = scenario.simulation(config);
-        sim.propagate(DataKey::from_name("bimodal"), "x", 120)
+        crate::simfig::push_once(&scenario, config, "bimodal", 120)
+            .1
             .aware_online_fraction
     });
     let low = awareness.iter().filter(|&&a| a < 0.2).count();
@@ -112,8 +111,7 @@ pub fn heterogeneity(trials: u32, seed: u64) -> Vec<HeterogeneityRow> {
                 .churn(churn.clone())
                 .build()
                 .expect("valid scenario");
-            let mut sim = scenario.simulation(config);
-            sim.propagate(DataKey::from_name("hetero"), "x", 80)
+            crate::simfig::push_once(&scenario, config, "hetero", 80).1
         });
         let agg = ReplicatedReport::from_push(&reports);
         HeterogeneityRow {

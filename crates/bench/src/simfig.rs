@@ -9,9 +9,12 @@
 use crate::experiments::FigureSeries;
 use rumor_analysis::{PfSchedule, PushModel, PushParams};
 use rumor_churn::MarkovChurn;
-use rumor_core::{ForwardPolicy, ProtocolConfig, PullStrategy};
+use rumor_core::{ForwardPolicy, ProtocolConfig, PullStrategy, ReplicaPeer};
 use rumor_metrics::SampleStats;
-use rumor_sim::{Experiment, ReplicatedReport, Scenario, TopologySpec};
+use rumor_sim::{
+    Driver, Experiment, PaperProtocol, ReplicatedReport, RunReport, Scenario, TopologySpec,
+    UpdateEvent,
+};
 use rumor_types::{derive_seed, DataKey};
 use serde::{Deserialize, Serialize};
 
@@ -86,6 +89,30 @@ impl PushSetting {
     }
 }
 
+/// Mounts the paper peer with `config` on `scenario`, writes `key` at a
+/// random online peer and tracks the push for up to `max_rounds` rounds.
+/// Returns the driver too, for callers that read per-peer counters.
+pub(crate) fn push_once(
+    scenario: &Scenario,
+    config: ProtocolConfig,
+    key: &str,
+    max_rounds: u32,
+) -> (Driver<ReplicaPeer>, RunReport) {
+    let protocol = PaperProtocol::new(config);
+    let mut driver = scenario.drive(&protocol);
+    let event = UpdateEvent {
+        round: 0,
+        key: DataKey::from_name(key),
+        delete: false,
+        sequence: 0,
+    };
+    let update = driver
+        .initiate(&protocol, None, &event)
+        .expect("an online initiator");
+    let report = driver.track_update(&protocol, update, max_rounds);
+    (driver, report)
+}
+
 /// Replicated pure-push runs of one parameter set through the simulator:
 /// the Monte Carlo workhorse behind [`validate`] and the figure
 /// overlays. `trials` replications fan out over the worker pool; the
@@ -93,8 +120,8 @@ impl PushSetting {
 pub fn replicated_push(setting: PushSetting, trials: u32, master_seed: u64) -> ReplicatedReport {
     let experiment = Experiment::new(master_seed, trials);
     let reports = experiment.run(|rep| {
-        let mut sim = setting.scenario(rep.seed).simulation(setting.config());
-        sim.propagate(DataKey::from_name("validation"), "v", 100)
+        let scenario = setting.scenario(rep.seed);
+        push_once(&scenario, setting.config(), "validation", 100).1
     });
     ReplicatedReport::from_push(&reports)
 }
@@ -180,14 +207,13 @@ pub fn sim_series(
         .churn(MarkovChurn::new(sigma, 0.0).expect("valid sigma"))
         .build()
         .expect("valid scenario");
-    let mut sim = scenario.simulation(config);
-    let report = sim.propagate(DataKey::from_name("series"), "v", 100);
+    let (_, report) = push_once(&scenario, config, "series", 100);
     FigureSeries {
         label: label.into(),
         points: report.awareness_cost_series(),
         rounds: report.rounds,
         died: report.aware_online_fraction < 0.9,
-        total_per_peer: report.messages_per_initial_online(),
+        total_per_peer: report.protocol_messages as f64 / report.initial_online as f64,
         final_awareness: report.aware_online_fraction,
     }
 }
@@ -201,7 +227,8 @@ pub struct ReplicatedSeries {
     pub label: String,
     /// Replications aggregated.
     pub n: u32,
-    /// Total messages per initially-online peer, over replications.
+    /// Push messages per initially-online peer, over replications (the
+    /// paper's cost axis; the name is the artefact's JSON key).
     pub total_per_peer: SampleStats,
     /// Push rounds until termination, over replications.
     pub rounds: SampleStats,
@@ -223,7 +250,7 @@ pub struct ReplicatedSeries {
 /// Mean messages sent per round across replications: entry `t` averages
 /// the round-`t` send counts (diffs of the cumulative per-round trace)
 /// over the replications whose run lasted at least `t + 1` rounds.
-fn mean_per_round_sent(reports: &[rumor_sim::PushReport]) -> Vec<f64> {
+fn mean_per_round_sent(reports: &[RunReport]) -> Vec<f64> {
     let horizon = reports.iter().map(|r| r.per_round.len()).max().unwrap_or(0);
     (0..horizon)
         .map(|t| {
@@ -258,8 +285,8 @@ pub fn replicated_sim_series(
 ) -> ReplicatedSeries {
     let experiment = Experiment::new(master_seed, replications);
     let reports = experiment.run(|rep| {
-        let mut sim = setting.scenario(rep.seed).simulation(setting.config());
-        sim.propagate(DataKey::from_name("overlay"), "v", 100)
+        let scenario = setting.scenario(rep.seed);
+        push_once(&scenario, setting.config(), "overlay", 100).1
     });
     let died = reports
         .iter()
@@ -280,7 +307,7 @@ pub fn replicated_sim_series(
         wasted_fraction: SampleStats::of(
             &reports
                 .iter()
-                .map(rumor_sim::PushReport::wasted_fraction)
+                .map(RunReport::wasted_fraction)
                 .collect::<Vec<_>>(),
         ),
         per_round_sent_mean: mean_per_round_sent(&reports),

@@ -13,7 +13,8 @@ pub enum ChurnError {
         /// The offending value.
         value: f64,
     },
-    /// A trace was empty or shaped inconsistently with the population.
+    /// A per-peer availability assignment was empty or referenced an
+    /// undefined class.
     InvalidTrace {
         /// Human-readable reason.
         reason: String,

@@ -10,8 +10,6 @@
 //! * [`MarkovChurn`] — the two-state per-round chain used throughout the
 //!   paper's analysis (σ, `p_on`).
 //! * [`StaticChurn`] — no transitions; isolates protocol behaviour.
-//! * [`TraceChurn`] — replay of a pre-generated availability trace
-//!   (synthetic stand-in for real traces, per `DESIGN.md` §4).
 //! * [`HeterogeneousChurn`] — §8's non-uniform availability: a reliable
 //!   backbone class mixed with transient peers.
 //! * [`Catastrophe`] — failure injection: mass offline events at scheduled
@@ -39,7 +37,6 @@ mod heterogeneous;
 mod markov;
 mod online_set;
 mod poisson;
-mod trace;
 
 pub use catastrophe::Catastrophe;
 pub use error::ChurnError;
@@ -47,7 +44,6 @@ pub use heterogeneous::HeterogeneousChurn;
 pub use markov::{MarkovChurn, StaticChurn};
 pub use online_set::OnlineSet;
 pub use poisson::sample_poisson;
-pub use trace::{AvailabilityTrace, TraceChurn};
 
 use rand_chacha::ChaCha8Rng;
 
@@ -63,7 +59,7 @@ pub trait Churn {
     /// The long-run expected online fraction, if the model has one.
     ///
     /// Markov churn with `σ` and `p_on` has stationary online probability
-    /// `p_on / (p_on + 1 − σ)`; trace or catastrophe models may not have a
+    /// `p_on / (p_on + 1 − σ)`; catastrophe models may not have a
     /// meaningful stationary value and return `None`.
     fn stationary_online_fraction(&self) -> Option<f64> {
         None

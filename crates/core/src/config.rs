@@ -13,9 +13,8 @@ use serde::{Deserialize, Serialize};
 pub enum AckPolicy {
     /// Never acknowledge (the paper's base protocol).
     None,
-    /// Acknowledge only the first replica an update was received from.
-    FirstSender,
-    /// Acknowledge the first `k` distinct senders of an update.
+    /// Acknowledge the first `k` distinct senders of an update
+    /// (`FirstK(1)`: only the first replica it was received from).
     FirstK(u32),
 }
 
@@ -24,7 +23,6 @@ impl AckPolicy {
     pub fn limit(&self) -> u32 {
         match *self {
             Self::None => 0,
-            Self::FirstSender => 1,
             Self::FirstK(k) => k,
         }
     }
@@ -344,7 +342,7 @@ mod tests {
     #[test]
     fn ack_limits() {
         assert_eq!(AckPolicy::None.limit(), 0);
-        assert_eq!(AckPolicy::FirstSender.limit(), 1);
+        assert_eq!(AckPolicy::FirstK(1).limit(), 1);
         assert_eq!(AckPolicy::FirstK(5).limit(), 5);
     }
 }

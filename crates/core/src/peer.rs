@@ -1028,7 +1028,7 @@ mod tests {
     #[test]
     fn ack_policy_first_sender() {
         let config = ProtocolConfig::builder(100)
-            .ack(AckPolicy::FirstSender)
+            .ack(AckPolicy::FirstK(1))
             .build()
             .unwrap();
         let mut p = ReplicaPeer::new(PeerId::new(0), config);
@@ -1077,7 +1077,7 @@ mod tests {
                     ..
                 }
             )),
-            "second sender is not acked under FirstSender"
+            "second sender is not acked under FirstK(1)"
         );
         assert_eq!(p.stats().acks_sent, 1);
     }
@@ -1085,7 +1085,7 @@ mod tests {
     #[test]
     fn ack_reception_updates_preferences() {
         let config = ProtocolConfig::builder(100)
-            .ack(AckPolicy::FirstSender)
+            .ack(AckPolicy::FirstK(1))
             .build()
             .unwrap();
         let mut p = ReplicaPeer::new(PeerId::new(0), config);
@@ -1591,7 +1591,7 @@ mod tests {
         let cool = 3;
         for (policy, own) in [
             (AckPolicy::FirstK(2), 0),
-            (AckPolicy::FirstSender, 57),
+            (AckPolicy::FirstK(1), 57),
             (AckPolicy::None, 119),
         ] {
             let config = ProtocolConfig::builder(120)

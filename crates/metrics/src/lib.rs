@@ -3,8 +3,8 @@
 //! The paper's performance criterion is "primarily the number of messages
 //! that are generated as part of a single update, compared to the extent to
 //! which the update propagates among the online population" (§5). This
-//! crate provides the counters, per-round series, summaries, convergence
-//! detectors and plain-text table formatting that the simulator and the
+//! crate provides the per-round series, summaries, convergence detectors
+//! and plain-text table formatting that the simulator and the
 //! experiment harness use to report exactly those quantities.
 //!
 //! # Examples
@@ -25,14 +25,12 @@
 #![warn(missing_docs)]
 
 mod convergence;
-mod counter;
 mod histogram;
 mod series;
 mod stats;
 mod table;
 
 pub use convergence::ConvergenceDetector;
-pub use counter::{Counter, CounterSet};
 pub use histogram::Histogram;
 pub use series::{RoundSeries, SeriesPoint};
 pub use stats::{t_critical_95, ConfidenceInterval, SampleStats};

@@ -11,20 +11,22 @@
 //! one contender into it (how to spawn a node, initiate an update, and
 //! probe awareness).
 //!
-//! `rumor_sim::Simulation` is a thin typed wrapper over
-//! `Driver<ReplicaPeer>`; the `rumor_baselines` protocols mount on the
-//! same driver directly. Neither contains a round loop of its own.
+//! The paper peer ([`PaperProtocol`]) and every `rumor_baselines`
+//! protocol mount on it the same way, through
+//! [`Scenario::drive`](crate::Scenario::drive); none has a round loop or
+//! a wrapper of its own. The one paper-specific addition is §4.4's
+//! [`Driver::query`] on `Driver<ReplicaPeer>`.
 
 use crate::report::{RoundObservation, RunReport, UpdateOutcome, WorkloadReport};
 use crate::scenario::ConvergenceSpec;
 use crate::workload::UpdateEvent;
 use rand_chacha::ChaCha8Rng;
 use rumor_churn::{Churn, OnlineSet};
-use rumor_core::{ReplicaPeer, Value};
+use rumor_core::{QueryAnswer, QueryPolicy, ReplicaPeer, Value};
 use rumor_metrics::ConvergenceDetector;
 use rumor_net::{EffectSink, EngineStats, LinkFilter, Node, SyncEngine};
 use rumor_obs::{EventKind, MsgKind, NopTracer, Tracer, CONDUCTOR};
-use rumor_types::{PeerId, Round, UpdateId};
+use rumor_types::{DataKey, PeerId, Round, UpdateId};
 
 /// A pure function returning a message's encoded wire-frame size —
 /// what [`Protocol::wire_sizer`] hands the engine for byte accounting.
@@ -221,8 +223,8 @@ impl Protocol for PaperProtocol {
 }
 
 /// Drives any population of [`Node`]s in synchronous rounds under churn,
-/// link faults and an update workload — the single round loop behind
-/// `Simulation` and every baseline.
+/// link faults and an update workload — the single round loop behind the
+/// paper peer and every baseline.
 ///
 /// Build one by mounting a [`Protocol`] into a
 /// [`Scenario`](crate::Scenario) via [`Scenario::drive`](crate::Scenario::drive).
@@ -744,5 +746,27 @@ impl<N: Node, T: Tracer> Driver<N, T> {
             dropped_events: deferred.len() + (schedule.len() - next),
             updates: outcomes,
         }
+    }
+}
+
+impl<T: Tracer> Driver<ReplicaPeer, T> {
+    /// Issues a query the way a client would (§4.4): collect local
+    /// answers from up to `attempts` *distinct* random online replicas
+    /// and resolve them under `policy`.
+    ///
+    /// When `attempts` meets or exceeds the online population, every
+    /// online replica answers exactly once.
+    pub fn query(
+        &mut self,
+        key: DataKey,
+        attempts: usize,
+        policy: QueryPolicy,
+    ) -> Option<QueryAnswer> {
+        let sampled = self.sample_online_distinct(attempts);
+        let answers: Vec<QueryAnswer> = sampled
+            .into_iter()
+            .map(|p| self.node(p).answer_query(key))
+            .collect();
+        policy.resolve(&answers)
     }
 }

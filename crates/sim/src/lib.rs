@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use rumor_core::ProtocolConfig;
-//! use rumor_sim::{Scenario, TopologySpec};
+//! use rumor_sim::{PaperProtocol, Scenario, TopologySpec, UpdateEvent};
 //! use rumor_types::DataKey;
 //!
 //! // 500 replicas, 30% initially online, full knowledge, no churn.
@@ -34,8 +34,11 @@
 //!     .topology(TopologySpec::Full)
 //!     .build()?;
 //! let config = ProtocolConfig::builder(500).fanout_fraction(0.04).build()?;
-//! let mut sim = scenario.simulation(config);
-//! let report = sim.propagate(DataKey::from_name("motd"), "hello", 50);
+//! let protocol = PaperProtocol::new(config);
+//! let mut driver = scenario.drive(&protocol);
+//! let event = UpdateEvent { round: 0, key: DataKey::from_name("motd"), delete: false, sequence: 0 };
+//! let update = driver.initiate(&protocol, None, &event).expect("someone is online");
+//! let report = driver.track_update(&protocol, update, 50);
 //! assert!(report.aware_online_fraction > 0.95,
 //!         "push reaches nearly all online peers, got {}",
 //!         report.aware_online_fraction);
@@ -45,24 +48,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
 mod builder;
 mod consistency;
 mod driver;
 mod error;
 mod replicate;
 mod report;
+#[cfg(test)]
 mod runner;
 mod scenario;
 mod workload;
 
-pub use builder::SimulationBuilder;
 pub use consistency::{awareness, consistency_fraction, staleness_by_peer};
 pub use driver::{Driver, MsgKinder, MsgTamper, PaperProtocol, Protocol, WireSizer};
 pub use error::SimError;
 pub use replicate::{Experiment, ReplicatedReport, Replication};
-pub use report::{
-    PushReport, RoundObservation, RunReport, SimReport, UpdateOutcome, WorkloadReport,
-};
-pub use runner::Simulation;
+pub use report::{RoundObservation, RunReport, UpdateOutcome, WorkloadReport};
 pub use scenario::{ConvergenceSpec, Scenario, ScenarioBuilder, TopologySpec};
 pub use workload::{UpdateEvent, WorkloadBuilder};

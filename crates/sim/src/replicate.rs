@@ -24,10 +24,11 @@
 //!
 //! ```
 //! use rumor_core::ProtocolConfig;
-//! use rumor_sim::{Experiment, ReplicatedReport, Scenario};
+//! use rumor_sim::{Experiment, PaperProtocol, ReplicatedReport, Scenario, UpdateEvent};
 //! use rumor_types::DataKey;
 //!
 //! let experiment = Experiment::new(42, 8);
+//! let event = UpdateEvent { round: 0, key: DataKey::from_name("motd"), delete: false, sequence: 0 };
 //! let reports = experiment.run(|rep| {
 //!     let scenario = Scenario::builder(100, rep.seed)
 //!         .online_fraction(0.5)
@@ -37,15 +38,17 @@
 //!         .fanout_absolute(4)
 //!         .build()
 //!         .expect("valid config");
-//!     let mut sim = scenario.simulation(config);
-//!     sim.propagate(DataKey::from_name("motd"), "hi", 40)
+//!     let protocol = PaperProtocol::new(config);
+//!     let mut driver = scenario.drive(&protocol);
+//!     let update = driver.initiate(&protocol, None, &event).expect("someone is online");
+//!     driver.track_update(&protocol, update, 40)
 //! });
 //! let agg = ReplicatedReport::from_push(&reports);
 //! assert_eq!(agg.n, 8);
 //! assert!(agg.aware_online_fraction.mean() > 0.5);
 //! ```
 
-use crate::report::{PushReport, RunReport, WorkloadReport};
+use crate::report::{RunReport, WorkloadReport};
 use rumor_metrics::SampleStats;
 use rumor_types::SeedSequence;
 use serde::{Deserialize, Serialize};
@@ -207,10 +210,11 @@ impl Experiment {
 /// a [`SampleStats`] (mean, variance, Student-t 95% CI, percentiles) over
 /// the per-replication values, in replication-index order.
 ///
-/// Fold [`RunReport`]s, [`PushReport`]s or [`WorkloadReport`]s into it
-/// with the matching constructor; the axes keep the same meaning across
-/// sources (for workloads, awareness axes average the per-update finals
-/// and `protocol_messages` is unused / all-zero).
+/// Fold [`RunReport`]s or [`WorkloadReport`]s into it with the matching
+/// constructor; the axes keep the same meaning across sources (for
+/// workloads, awareness axes average the per-update finals and
+/// `protocol_messages` is unused / all-zero), except the per-peer axis,
+/// whose numerator each constructor names.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplicatedReport {
     /// Number of replications aggregated.
@@ -225,7 +229,10 @@ pub struct ReplicatedReport {
     pub protocol_messages: SampleStats,
     /// All messages sent.
     pub total_messages: SampleStats,
-    /// Total messages per initially-online peer.
+    /// Messages per initially-online peer: protocol messages (pushes for
+    /// the paper peer) under [`ReplicatedReport::from_push`], all messages
+    /// under [`ReplicatedReport::from_runs`], the workload's messages
+    /// under [`ReplicatedReport::from_workloads`].
     pub messages_per_initial_online: SampleStats,
 }
 
@@ -243,35 +250,35 @@ impl ReplicatedReport {
         }
     }
 
-    /// Folds per-replication [`RunReport`]s (order = replication index).
-    pub fn from_runs(reports: &[RunReport]) -> Self {
+    fn from_run_axes(reports: &[RunReport], per_peer: impl Fn(&RunReport) -> f64) -> Self {
         Self::from_axes([
             reports.iter().map(|r| f64::from(r.rounds)).collect(),
             reports.iter().map(|r| r.aware_online_fraction).collect(),
             reports.iter().map(|r| r.aware_total_fraction).collect(),
             reports.iter().map(|r| r.protocol_messages as f64).collect(),
             reports.iter().map(|r| r.total_messages as f64).collect(),
-            reports
-                .iter()
-                .map(RunReport::messages_per_initial_online)
-                .collect(),
+            reports.iter().map(per_peer).collect(),
         ])
     }
 
-    /// Folds per-replication [`PushReport`]s; `push_messages` lands on
-    /// the `protocol_messages` axis.
-    pub fn from_push(reports: &[PushReport]) -> Self {
-        Self::from_axes([
-            reports.iter().map(|r| f64::from(r.rounds)).collect(),
-            reports.iter().map(|r| r.aware_online_fraction).collect(),
-            reports.iter().map(|r| r.aware_total_fraction).collect(),
-            reports.iter().map(|r| r.push_messages as f64).collect(),
-            reports.iter().map(|r| r.total_messages as f64).collect(),
-            reports
-                .iter()
-                .map(PushReport::messages_per_initial_online)
-                .collect(),
-        ])
+    /// Folds per-replication [`RunReport`]s (order = replication index);
+    /// the per-peer axis counts every message sent.
+    pub fn from_runs(reports: &[RunReport]) -> Self {
+        Self::from_run_axes(reports, RunReport::messages_per_initial_online)
+    }
+
+    /// Folds per-replication [`RunReport`]s of the paper's push phase:
+    /// like [`ReplicatedReport::from_runs`], except that the per-peer axis
+    /// counts `protocol_messages` (the pushes the paper's figures plot),
+    /// not every message.
+    pub fn from_push(reports: &[RunReport]) -> Self {
+        Self::from_run_axes(reports, |r| {
+            if r.initial_online == 0 {
+                0.0
+            } else {
+                r.protocol_messages as f64 / r.initial_online as f64
+            }
+        })
     }
 
     /// Folds per-replication [`WorkloadReport`]s: the awareness axes
@@ -306,8 +313,10 @@ impl ReplicatedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{mount, propagate};
     use crate::scenario::Scenario;
     use rumor_core::ProtocolConfig;
+    use rumor_metrics::RoundSeries;
     use rumor_types::DataKey;
 
     fn replicate(threads: usize, master_seed: u64, reps: u32) -> ReplicatedReport {
@@ -321,8 +330,8 @@ mod tests {
                 .fanout_absolute(4)
                 .build()
                 .expect("valid config");
-            let mut sim = scenario.simulation(config);
-            sim.propagate(DataKey::from_name("det"), "v", 40)
+            let (protocol, mut driver) = mount(&scenario, config);
+            propagate(&mut driver, &protocol, DataKey::from_name("det"), 40)
         });
         ReplicatedReport::from_push(&reports)
     }
@@ -390,8 +399,8 @@ mod tests {
                 .fanout_absolute(3)
                 .build()
                 .expect("valid config");
-            let mut sim = scenario.simulation(config);
-            sim.propagate(DataKey::from_name("div"), "v", 40)
+            let (protocol, mut driver) = mount(&scenario, config);
+            propagate(&mut driver, &protocol, DataKey::from_name("div"), 40)
         });
         let signatures: Vec<(u64, u32)> = reports
             .iter()
@@ -434,6 +443,30 @@ mod tests {
         let agg = ReplicatedReport::from_runs(&[]);
         assert_eq!(agg.n, 0);
         assert_eq!(agg.rounds.n(), 0);
+    }
+
+    #[test]
+    fn push_fold_counts_protocol_messages_per_peer_and_run_fold_counts_all() {
+        let run = RunReport {
+            rounds: 4,
+            aware_online_fraction: 1.0,
+            aware_total_fraction: 0.5,
+            protocol_messages: 30,
+            total_messages: 50,
+            total_bytes: 0,
+            total_wasted: 0,
+            initial_online: 10,
+            per_round: Vec::new(),
+            per_round_sent: RoundSeries::new("messages sent"),
+        };
+        let push = ReplicatedReport::from_push(std::slice::from_ref(&run));
+        let all = ReplicatedReport::from_runs(std::slice::from_ref(&run));
+        assert_eq!(push.messages_per_initial_online.mean(), 3.0);
+        assert_eq!(all.messages_per_initial_online.mean(), 5.0);
+        // Every other axis is the same fold.
+        assert_eq!(push.protocol_messages, all.protocol_messages);
+        assert_eq!(push.total_messages, all.total_messages);
+        assert_eq!(push.rounds, all.rounds);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Simulation reports.
 
-use rumor_metrics::{CounterSet, RoundSeries};
+use rumor_metrics::RoundSeries;
 use rumor_types::{DataKey, UpdateId};
 use serde::{Deserialize, Serialize};
 
@@ -17,76 +17,20 @@ pub struct RoundObservation {
     pub f_aware: f64,
     /// Cumulative messages sent (all kinds).
     pub cum_messages: u64,
-    /// Cumulative push messages sent.
+    /// Cumulative protocol messages sent (pushes for the paper peer; see
+    /// [`RunReport::protocol_messages`]).
     pub cum_push_messages: u64,
 }
 
-/// Outcome of propagating one update (the simulator's analogue of the
-/// analytical `PushOutcome`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PushReport {
-    /// Rounds executed.
-    pub rounds: u32,
-    /// Aware fraction of the online population at the end.
-    pub aware_online_fraction: f64,
-    /// Aware fraction of the *entire* population (offline included).
-    pub aware_total_fraction: f64,
-    /// Push messages sent (the paper's overhead metric).
-    pub push_messages: u64,
-    /// All messages sent (pushes + pulls + acks).
-    pub total_messages: u64,
-    /// Duplicate push deliveries observed by peers.
-    pub duplicates: u64,
-    /// Messages that reached nobody — lost to an offline target or a
-    /// link fault (cumulative engine total,
-    /// [`EngineStats::wasted`](rumor_net::EngineStats::wasted)).
-    pub wasted: u64,
-    /// Initial online population (normalisation denominator).
-    pub initial_online: usize,
-    /// Per-round trace.
-    pub per_round: Vec<RoundObservation>,
-}
-
-impl PushReport {
-    /// Fraction of sent messages that reached nobody.
-    pub fn wasted_fraction(&self) -> f64 {
-        if self.total_messages == 0 {
-            0.0
-        } else {
-            self.wasted as f64 / self.total_messages as f64
-        }
-    }
-
-    /// Push messages per initially-online peer — the y axis of the
-    /// paper's figures.
-    pub fn messages_per_initial_online(&self) -> f64 {
-        if self.initial_online == 0 {
-            0.0
-        } else {
-            self.push_messages as f64 / self.initial_online as f64
-        }
-    }
-
-    /// `(f_aware, cumulative push messages / R_on(0))` series, matching
-    /// `rumor_analysis::PushOutcome::awareness_cost_series`.
-    pub fn awareness_cost_series(&self) -> Vec<(f64, f64)> {
-        let denom = self.initial_online.max(1) as f64;
-        self.per_round
-            .iter()
-            .map(|o| (o.f_aware, o.cum_push_messages as f64 / denom))
-            .collect()
-    }
-}
-
-/// Outcome of tracking one update through *any* mounted protocol — the
-/// protocol-agnostic counterpart of [`PushReport`], produced by
+/// Outcome of tracking one update through *any* mounted protocol (the
+/// simulator's analogue of the analytical `PushOutcome`), produced by
 /// [`Driver::track_update`](crate::Driver::track_update).
 ///
 /// `protocol_messages` is whatever the mounted
 /// [`Protocol`](crate::Protocol) counts as its overhead metric (push
 /// messages for the paper peer, 0 for baselines whose engine-level total
 /// is the meaningful number). Message counters are cumulative over the
-/// driver's lifetime, mirroring [`PushReport`].
+/// driver's lifetime.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Rounds executed by this tracking call.
@@ -144,6 +88,17 @@ impl RunReport {
         } else {
             self.total_bytes as f64 / self.total_messages as f64
         }
+    }
+
+    /// `(f_aware, cumulative protocol messages / R_on(0))` series — the
+    /// paper's figure axes, matching
+    /// `rumor_analysis::PushOutcome::awareness_cost_series`.
+    pub fn awareness_cost_series(&self) -> Vec<(f64, f64)> {
+        let denom = self.initial_online.max(1) as f64;
+        self.per_round
+            .iter()
+            .map(|o| (o.f_aware, o.cum_push_messages as f64 / denom))
+            .collect()
     }
 }
 
@@ -244,40 +199,35 @@ impl WorkloadReport {
     }
 }
 
-/// Aggregate statistics over a whole simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimReport {
-    /// Rounds executed in total.
-    pub rounds: u32,
-    /// Engine-level message accounting labels:
-    /// `sent`, `delivered`, `lost_offline`, `lost_fault`.
-    pub engine: CounterSet,
-    /// Aggregated peer counters (pushes, pulls, acks, duplicates…).
-    pub peers: CounterSet,
-    /// Per-round sent messages.
-    pub per_round_sent: RoundSeries,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn normalisation_guards_zero() {
-        let r = PushReport {
+    fn run_report(protocol_messages: u64, total_messages: u64, initial_online: usize) -> RunReport {
+        RunReport {
             rounds: 0,
             aware_online_fraction: 0.0,
             aware_total_fraction: 0.0,
-            push_messages: 10,
-            total_messages: 10,
-            duplicates: 0,
-            wasted: 5,
-            initial_online: 0,
+            protocol_messages,
+            total_messages,
+            total_bytes: 0,
+            total_wasted: 0,
+            initial_online,
             per_round: Vec::new(),
+            per_round_sent: RoundSeries::new("messages sent"),
+        }
+    }
+
+    #[test]
+    fn normalisation_guards_zero() {
+        let r = RunReport {
+            total_wasted: 5,
+            ..run_report(10, 10, 0)
         };
         assert_eq!(r.messages_per_initial_online(), 0.0);
         assert!(r.awareness_cost_series().is_empty());
         assert!((r.wasted_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(run_report(0, 0, 10).mean_message_bytes(), 0.0);
     }
 
     #[test]
@@ -327,15 +277,10 @@ mod tests {
 
     #[test]
     fn series_uses_push_messages() {
-        let r = PushReport {
+        let r = RunReport {
             rounds: 1,
             aware_online_fraction: 0.5,
             aware_total_fraction: 0.25,
-            push_messages: 20,
-            total_messages: 30,
-            duplicates: 2,
-            wasted: 0,
-            initial_online: 10,
             per_round: vec![RoundObservation {
                 round: 0,
                 online: 10,
@@ -344,8 +289,10 @@ mod tests {
                 cum_messages: 30,
                 cum_push_messages: 20,
             }],
+            ..run_report(20, 30, 10)
         };
-        assert_eq!(r.messages_per_initial_online(), 2.0);
+        // The figure axis counts pushes; the scalar counts every message.
         assert_eq!(r.awareness_cost_series(), vec![(0.5, 2.0)]);
+        assert_eq!(r.messages_per_initial_online(), 3.0);
     }
 }

@@ -1,260 +1,81 @@
-//! The typed simulation facade over the generic driver.
+//! The paper peer mounted straight on the shared [`Driver`], for this
+//! crate's unit tests only — the same `Scenario::drive` → `initiate` →
+//! `track_update` path every caller and every baseline uses.
 
 use crate::driver::{Driver, PaperProtocol};
-use crate::report::{PushReport, SimReport, WorkloadReport};
+use crate::report::RunReport;
+use crate::scenario::Scenario;
 use crate::workload::UpdateEvent;
-use rumor_churn::OnlineSet;
-use rumor_core::{QueryAnswer, QueryPolicy, ReplicaPeer, Update, Value};
-use rumor_metrics::{CounterSet, RoundSeries};
-use rumor_types::{DataKey, PeerId, Round, UpdateId};
+use rumor_core::{ProtocolConfig, ReplicaPeer};
+use rumor_types::DataKey;
 
-/// A population of [`ReplicaPeer`]s driven in synchronous rounds under
-/// churn — built via [`SimulationBuilder`](crate::SimulationBuilder) or
-/// [`Scenario::simulation`](crate::Scenario::simulation).
-///
-/// This is a thin typed wrapper over [`Driver`]`<ReplicaPeer>`: the round
-/// loop, churn orchestration and awareness tracking live in the generic
-/// driver shared with every baseline protocol; this type adds the
-/// [`ReplicaPeer`]-specific conveniences (queries, typed reports, store
-/// access).
-pub struct Simulation {
-    driver: Driver<ReplicaPeer>,
-    protocol: PaperProtocol,
-}
-
-impl std::fmt::Debug for Simulation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulation")
-            .field("population", &self.driver.population())
-            .field("online", &self.driver.online().online_count())
-            .field("rounds_run", &self.driver.rounds_run())
-            .finish_non_exhaustive()
+/// The scheduled write of `key` the tests initiate (payload `"u0"`).
+pub(crate) fn write(key: DataKey) -> UpdateEvent {
+    UpdateEvent {
+        round: 0,
+        key,
+        delete: false,
+        sequence: 0,
     }
 }
 
-impl Simulation {
-    /// Wraps a mounted paper-protocol driver (used by
-    /// [`Scenario::simulation`](crate::Scenario::simulation) and
-    /// [`SimulationBuilder`](crate::SimulationBuilder)).
-    pub fn from_parts(driver: Driver<ReplicaPeer>, protocol: PaperProtocol) -> Self {
-        Self { driver, protocol }
-    }
-
-    /// The underlying protocol-agnostic driver.
-    pub fn driver(&self) -> &Driver<ReplicaPeer> {
-        &self.driver
-    }
-
-    /// Mutable access to the underlying driver.
-    pub fn driver_mut(&mut self) -> &mut Driver<ReplicaPeer> {
-        &mut self.driver
-    }
-
-    /// Total population size `R`.
-    pub fn population(&self) -> usize {
-        self.driver.population()
-    }
-
-    /// The current availability state.
-    pub fn online(&self) -> &OnlineSet {
-        self.driver.online()
-    }
-
-    /// Read access to one peer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the peer is outside the population.
-    pub fn peer(&self, id: PeerId) -> &ReplicaPeer {
-        self.driver.node(id)
-    }
-
-    /// All peers, for whole-population assertions.
-    pub fn peers(&self) -> &[ReplicaPeer] {
-        self.driver.nodes()
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds_run(&self) -> u32 {
-        self.driver.rounds_run()
-    }
-
-    /// The number of peers online when the simulation started (`R_on(0)`).
-    pub fn initial_online(&self) -> usize {
-        self.driver.initial_online()
-    }
-
-    /// Initiates an update at `initiator` (or a random online peer) and
-    /// injects its round-0 pushes. Returns the update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nobody is online to initiate.
-    pub fn initiate_update(
-        &mut self,
-        initiator: Option<PeerId>,
-        key: DataKey,
-        value: Option<Value>,
-    ) -> Update {
-        let id = initiator
-            .or_else(|| self.driver.sample_online())
-            .expect("an online initiator is required");
-        let round = Round::new(self.driver.rounds_run());
-        self.driver.apply(id, |peer, rng, out| {
-            peer.initiate_update(key, value, round, rng, out)
-        })
-    }
-
-    /// Executes one synchronous round: churn transition (after round 0),
-    /// then the engine round.
-    pub fn step(&mut self) {
-        self.driver.step();
-    }
-
-    /// Runs `n` rounds.
-    pub fn run_rounds(&mut self, n: u32) {
-        self.driver.run_rounds(n);
-    }
-
-    /// Runs until the engine is quiescent (no message in flight, no timer
-    /// pending) or `max_rounds` have elapsed; returns rounds executed.
-    pub fn run_until_quiescent(&mut self, max_rounds: u32) -> u32 {
-        self.driver.run_until_quiescent(max_rounds)
-    }
-
-    /// Convenience: initiate a write and drive the push to quiescence,
-    /// collecting the per-round trace. This is the figure-reproduction
-    /// workhorse.
-    pub fn propagate(&mut self, key: DataKey, value: &str, max_rounds: u32) -> PushReport {
-        let update = self.initiate_update(None, key, Some(Value::from(value)));
-        self.track_update(update.id(), max_rounds)
-    }
-
-    /// Drives rounds until the push for `update` quiesces (or awareness
-    /// stalls per the scenario's convergence criterion), recording
-    /// per-round observations.
-    pub fn track_update(&mut self, update: UpdateId, max_rounds: u32) -> PushReport {
-        let run = self.driver.track_update(&self.protocol, update, max_rounds);
-        PushReport {
-            rounds: run.rounds,
-            aware_online_fraction: run.aware_online_fraction,
-            aware_total_fraction: run.aware_total_fraction,
-            push_messages: run.protocol_messages,
-            total_messages: run.total_messages,
-            duplicates: self
-                .driver
-                .nodes()
-                .iter()
-                .map(|p| p.stats().duplicates_received)
-                .sum(),
-            wasted: run.total_wasted,
-            initial_online: run.initial_online,
-            per_round: run.per_round,
-        }
-    }
-
-    /// Executes a scheduled update workload (writes **and** tombstones)
-    /// with per-update awareness tracking — see
-    /// [`Driver::run_workload`].
-    pub fn run_workload(&mut self, events: &[UpdateEvent], settle_rounds: u32) -> WorkloadReport {
-        self.driver
-            .run_workload(&self.protocol, events, settle_rounds)
-    }
-
-    /// Issues a query the way a client would (§4.4): collect local
-    /// answers from up to `attempts` *distinct* random online replicas
-    /// and resolve them under `policy`.
-    ///
-    /// When `attempts` meets or exceeds the online population, every
-    /// online replica answers exactly once.
-    pub fn query(
-        &mut self,
-        key: DataKey,
-        attempts: usize,
-        policy: QueryPolicy,
-    ) -> Option<QueryAnswer> {
-        let sampled = self.driver.sample_online_distinct(attempts);
-        let answers: Vec<QueryAnswer> = sampled
-            .into_iter()
-            .map(|p| self.driver.node(p).answer_query(key))
-            .collect();
-        policy.resolve(&answers)
-    }
-
-    /// Aggregate report over everything run so far.
-    pub fn report(&self) -> SimReport {
-        let stats = self.driver.stats();
-        let mut engine = CounterSet::new();
-        engine.add("sent", stats.sent);
-        engine.add("delivered", stats.delivered);
-        engine.add("lost_offline", stats.lost_offline);
-        engine.add("lost_fault", stats.lost_fault);
-
-        let mut peers = CounterSet::new();
-        for p in self.driver.nodes() {
-            let s = p.stats();
-            peers.add("pushes_received", s.pushes_received);
-            peers.add("duplicates_received", s.duplicates_received);
-            peers.add("pushes_forwarded", s.pushes_forwarded);
-            peers.add("forwards_suppressed", s.forwards_suppressed);
-            peers.add("push_messages_sent", s.push_messages_sent);
-            peers.add("targets_suppressed_by_list", s.targets_suppressed_by_list);
-            peers.add("acks_sent", s.acks_sent);
-            peers.add("acks_received", s.acks_received);
-            peers.add("pulls_initiated", s.pulls_initiated);
-            peers.add("pull_requests_received", s.pull_requests_received);
-            peers.add("pull_responses_received", s.pull_responses_received);
-            peers.add("updates_via_push", s.updates_via_push);
-            peers.add("updates_via_pull", s.updates_via_pull);
-            peers.add("replicas_discovered", s.replicas_discovered);
-        }
-
-        let mut per_round_sent = RoundSeries::new("messages sent");
-        for pt in stats.per_round_sent().points() {
-            per_round_sent.record(pt.round, pt.value);
-        }
-        SimReport {
-            rounds: self.driver.rounds_run(),
-            engine,
-            peers,
-            per_round_sent,
-        }
-    }
-
-    /// Forces a peer's availability (test/fault-injection hook). The
-    /// change takes effect at the next round's status-change scan.
-    pub fn set_online(&mut self, peer: PeerId, online: bool) {
-        self.driver.set_online(peer, online);
-    }
+/// Mounts the paper peer with `config` on `scenario`.
+pub(crate) fn mount(
+    scenario: &Scenario,
+    config: ProtocolConfig,
+) -> (PaperProtocol, Driver<ReplicaPeer>) {
+    let protocol = PaperProtocol::new(config);
+    let driver = scenario.drive(&protocol);
+    (protocol, driver)
 }
 
-#[cfg(test)]
+/// Initiates [`write`]`(key)` at a random online peer and tracks it for
+/// up to `max_rounds` rounds.
+pub(crate) fn propagate(
+    driver: &mut Driver<ReplicaPeer>,
+    protocol: &PaperProtocol,
+    key: DataKey,
+    max_rounds: u32,
+) -> RunReport {
+    let update = driver
+        .initiate(protocol, None, &write(key))
+        .expect("an online initiator");
+    driver.track_update(protocol, update, max_rounds)
+}
+
 mod tests {
     use super::*;
-    use crate::builder::SimulationBuilder;
     use crate::consistency;
     use crate::scenario::TopologySpec;
     use rumor_churn::MarkovChurn;
-    use rumor_core::{ForwardPolicy, ProtocolConfig, PullStrategy};
+    use rumor_core::{ForwardPolicy, PullStrategy, QueryPolicy};
+    use rumor_types::PeerId;
 
     fn key() -> DataKey {
         DataKey::from_name("test-key")
     }
 
-    fn with_fanout(population: usize, seed: u64, fanout: usize) -> SimulationBuilder {
-        let config = ProtocolConfig::builder(population)
+    fn defaults(population: usize) -> ProtocolConfig {
+        ProtocolConfig::builder(population).build().unwrap()
+    }
+
+    fn fanout(population: usize, fanout: usize) -> ProtocolConfig {
+        ProtocolConfig::builder(population)
             .fanout_absolute(fanout)
             .build()
-            .unwrap();
-        SimulationBuilder::new(population, seed).protocol(config)
+            .unwrap()
+    }
+
+    fn scenario(population: usize, seed: u64) -> Scenario {
+        Scenario::builder(population, seed).build().unwrap()
     }
 
     #[test]
     fn push_reaches_everyone_when_all_online() {
-        let mut sim = with_fanout(200, 3, 6).build().unwrap();
-        let report = sim.propagate(key(), "v1", 50);
+        let (protocol, mut driver) = mount(&scenario(200, 3), fanout(200, 6));
+        let report = propagate(&mut driver, &protocol, key(), 50);
         assert!(report.aware_online_fraction > 0.99, "{report:?}");
-        assert!(report.push_messages > 0);
+        assert!(report.protocol_messages > 0);
         assert!(report.rounds < 50);
     }
 
@@ -262,19 +83,20 @@ mod tests {
     fn push_only_reaches_online_peers() {
         // No churn, no pull triggers for offline peers (they never come
         // online), so offline peers stay unaware.
-        let mut sim = with_fanout(200, 3, 10)
+        let half = Scenario::builder(200, 3)
             .online_fraction(0.5)
             .build()
             .unwrap();
-        let report = sim.propagate(key(), "v1", 50);
+        let (protocol, mut driver) = mount(&half, fanout(200, 10));
+        let report = propagate(&mut driver, &protocol, key(), 50);
         assert!(report.aware_online_fraction > 0.9);
         assert!(report.aware_total_fraction < 0.7);
     }
 
     #[test]
     fn awareness_is_monotone_per_round() {
-        let mut sim = with_fanout(300, 5, 6).build().unwrap();
-        let report = sim.propagate(key(), "v1", 50);
+        let (protocol, mut driver) = mount(&scenario(300, 5), fanout(300, 6));
+        let report = propagate(&mut driver, &protocol, key(), 50);
         let f: Vec<f64> = report.per_round.iter().map(|o| o.f_aware).collect();
         assert!(f.windows(2).all(|w| w[0] <= w[1] + 1e-12), "{f:?}");
     }
@@ -286,13 +108,14 @@ mod tests {
         // divergence assertion below vacuous-or-flaky. A real trajectory
         // gives the two seeds room to visibly differ.
         let run = |seed| {
-            let mut sim = with_fanout(100, seed, 4)
+            let churned = Scenario::builder(100, seed)
                 .online_fraction(0.5)
                 .churn(MarkovChurn::new(0.9, 0.05).unwrap())
                 .build()
                 .unwrap();
-            let r = sim.propagate(key(), "v1", 30);
-            (r.push_messages, r.aware_online_fraction, r.rounds)
+            let (protocol, mut driver) = mount(&churned, fanout(100, 4));
+            let r = propagate(&mut driver, &protocol, key(), 30);
+            (r.protocol_messages, r.aware_online_fraction, r.rounds)
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12), "different seeds diverge");
@@ -300,25 +123,23 @@ mod tests {
 
     #[test]
     fn offline_initiator_panics() {
-        let mut sim = SimulationBuilder::new(4, 1)
-            .online_count(1)
-            .build()
-            .unwrap();
-        // Peer 3 starts offline.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.initiate_update(Some(PeerId::new(3)), key(), Some(Value::from("x")))
-        }));
         // Initiating at an offline peer is allowed (it will push when the
-        // engine delivers) — but sampling when nobody is online panics.
-        assert!(result.is_ok(), "explicit initiator is accepted");
+        // engine delivers); only sampling when nobody is online fails.
+        let one = Scenario::builder(4, 1).online_count(1).build().unwrap();
+        let (protocol, mut driver) = mount(&one, defaults(4));
+        // Peer 3 starts offline.
+        let update = driver.initiate(&protocol, Some(PeerId::new(3)), &write(key()));
+        assert!(update.is_some(), "explicit initiator is accepted");
     }
 
     #[test]
     fn query_resolves_after_propagation() {
-        let mut sim = with_fanout(100, 9, 6).build().unwrap();
-        sim.propagate(key(), "answer", 30);
-        let resolved = sim.query(key(), 5, QueryPolicy::Latest).expect("resolved");
-        assert_eq!(resolved.value.unwrap().as_bytes(), b"answer");
+        let (protocol, mut driver) = mount(&scenario(100, 9), fanout(100, 6));
+        propagate(&mut driver, &protocol, key(), 30);
+        let resolved = driver
+            .query(key(), 5, QueryPolicy::Latest)
+            .expect("resolved");
+        assert_eq!(resolved.value.unwrap().as_bytes(), b"u0");
     }
 
     #[test]
@@ -327,55 +148,56 @@ mod tests {
         // same replica twice, so a query with attempts >= online count
         // could still miss the only replica holding the value. Distinct
         // sampling makes such queries exhaustive and deterministic.
-        let mut sim = SimulationBuilder::new(5, 17).build().unwrap();
+        let (protocol, mut driver) = mount(&scenario(5, 17), defaults(5));
         // Only the initiator holds the value: no rounds are run, so the
         // round-0 pushes are still in flight.
-        sim.initiate_update(Some(PeerId::new(0)), key(), Some(Value::from("lone")));
+        driver.initiate(&protocol, Some(PeerId::new(0)), &write(key()));
         for _ in 0..20 {
-            let answer = sim
+            let answer = driver
                 .query(key(), 5, QueryPolicy::Latest)
                 .expect("5 distinct draws over 5 online peers must include the holder");
-            assert_eq!(answer.value.unwrap().as_bytes(), b"lone");
+            assert_eq!(answer.value.unwrap().as_bytes(), b"u0");
         }
     }
 
     #[test]
     fn query_attempts_beyond_population_answer_each_replica_once() {
-        let mut sim = SimulationBuilder::new(3, 21).build().unwrap();
-        sim.initiate_update(Some(PeerId::new(1)), key(), Some(Value::from("x")));
+        let (protocol, mut driver) = mount(&scenario(3, 21), defaults(3));
+        driver.initiate(&protocol, Some(PeerId::new(1)), &write(key()));
         // 100 attempts over 3 online replicas: exactly one holder answer.
-        let answer = sim
+        let answer = driver
             .query(key(), 100, QueryPolicy::Latest)
             .expect("resolved");
-        assert_eq!(answer.value.unwrap().as_bytes(), b"x");
+        assert_eq!(answer.value.unwrap().as_bytes(), b"u0");
     }
 
     #[test]
     fn report_aggregates_counters() {
-        let mut sim = SimulationBuilder::new(100, 2).build().unwrap();
-        sim.propagate(key(), "v", 30);
-        let report = sim.report();
-        assert!(report.engine.get("sent") > 0);
+        let (protocol, mut driver) = mount(&scenario(100, 2), defaults(100));
+        propagate(&mut driver, &protocol, key(), 30);
+        let stats = driver.stats();
+        assert!(stats.sent > 0);
         assert_eq!(
-            report.engine.get("sent"),
-            report.engine.get("delivered")
-                + report.engine.get("lost_offline")
-                + report.engine.get("lost_fault"),
+            stats.sent,
+            stats.delivered + stats.lost_offline + stats.lost_fault,
             "message conservation"
         );
-        assert!(report.peers.get("pushes_received") > 0);
+        let pushes_received: u64 = driver
+            .nodes()
+            .iter()
+            .map(|p| p.stats().pushes_received)
+            .sum();
+        assert!(pushes_received > 0);
     }
 
     #[test]
     fn loss_reduces_coverage_or_costs_messages() {
-        let clean = {
-            let mut sim = SimulationBuilder::new(200, 4).build().unwrap();
-            sim.propagate(key(), "v", 40)
+        let run = |loss| {
+            let lossy = Scenario::builder(200, 4).loss(loss).build().unwrap();
+            let (protocol, mut driver) = mount(&lossy, defaults(200));
+            propagate(&mut driver, &protocol, key(), 40)
         };
-        let lossy = {
-            let mut sim = SimulationBuilder::new(200, 4).loss(0.7).build().unwrap();
-            sim.propagate(key(), "v", 40)
-        };
+        let (clean, lossy) = (run(0.0), run(0.7));
         assert!(
             lossy.aware_online_fraction <= clean.aware_online_fraction + 1e-9,
             "loss cannot improve coverage"
@@ -390,15 +212,17 @@ mod tests {
             .pull_strategy(PullStrategy::Eager)
             .build()
             .unwrap();
-        let mut sim = SimulationBuilder::new(100, 6)
+        let returning = Scenario::builder(100, 6)
             .online_fraction(0.5)
             .churn(MarkovChurn::new(1.0, 0.2).unwrap()) // offline peers return
-            .protocol(config)
             .build()
             .unwrap();
-        let update = sim.initiate_update(None, key(), Some(Value::from("v")));
-        sim.run_rounds(40);
-        let aware_total = consistency::awareness(sim.peers(), None, update.id());
+        let (protocol, mut driver) = mount(&returning, config);
+        let update = driver
+            .initiate(&protocol, None, &write(key()))
+            .expect("an online initiator");
+        driver.run_rounds(40);
+        let aware_total = consistency::awareness(driver.nodes(), None, update);
         assert!(
             aware_total > 0.95,
             "pull must spread the update to returning peers, got {aware_total}"
@@ -413,25 +237,23 @@ mod tests {
                 .forward(pf)
                 .build()
                 .unwrap();
-            let mut sim = SimulationBuilder::new(300, 8)
-                .protocol(config)
-                .build()
-                .unwrap();
-            sim.propagate(key(), "v", 40)
+            let (protocol, mut driver) = mount(&scenario(300, 8), config);
+            propagate(&mut driver, &protocol, key(), 40)
         };
         let always = mk(ForwardPolicy::Always);
         let never = mk(ForwardPolicy::Constant { p: 0.0 });
         assert!(always.aware_online_fraction > never.aware_online_fraction);
-        assert!(always.push_messages > never.push_messages);
+        assert!(always.protocol_messages > never.protocol_messages);
     }
 
     #[test]
     fn partial_knowledge_still_spreads() {
-        let mut sim = with_fanout(400, 13, 10)
+        let subset = Scenario::builder(400, 13)
             .topology(TopologySpec::RandomSubset { k: 20 })
             .build()
             .unwrap();
-        let report = sim.propagate(key(), "v", 60);
+        let (protocol, mut driver) = mount(&subset, fanout(400, 10));
+        let report = propagate(&mut driver, &protocol, key(), 60);
         assert!(
             report.aware_online_fraction > 0.95,
             "{}",

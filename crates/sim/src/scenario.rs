@@ -40,15 +40,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::driver::{Driver, PaperProtocol, Protocol};
+use crate::driver::{Driver, Protocol};
 use crate::error::SimError;
 use crate::report::WorkloadReport;
-use crate::runner::Simulation;
 use crate::workload::UpdateEvent;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rumor_churn::{Churn, OnlineSet, StaticChurn};
-use rumor_core::ProtocolConfig;
 use rumor_net::{topology, BernoulliLoss, LinkFilter, Partition, PerfectLinks};
 use rumor_obs::{NopTracer, Tracer};
 use rumor_types::{derive_seed, PeerId};
@@ -260,14 +258,6 @@ impl Scenario {
         driver
     }
 
-    /// Convenience: mounts the paper protocol and wraps the driver in the
-    /// typed [`Simulation`] API.
-    pub fn simulation(&self, config: ProtocolConfig) -> Simulation {
-        let protocol = PaperProtocol::new(config);
-        let driver = self.drive(&protocol);
-        Simulation::from_parts(driver, protocol)
-    }
-
     /// Convenience: mounts `protocol`, executes the scenario's own
     /// workload schedule, and returns the per-update report.
     pub fn run<P: Protocol>(&self, protocol: &P, settle_rounds: u32) -> WorkloadReport {
@@ -445,7 +435,9 @@ impl ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::PaperProtocol;
     use rumor_churn::MarkovChurn;
+    use rumor_core::ProtocolConfig;
 
     fn paper(population: usize) -> PaperProtocol {
         PaperProtocol::new(ProtocolConfig::builder(population).build().unwrap())

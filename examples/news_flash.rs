@@ -7,7 +7,7 @@
 
 use rumor::churn::MarkovChurn;
 use rumor::core::{ForwardPolicy, ProtocolConfig, PullStrategy, QueryPolicy};
-use rumor::sim::{Scenario, WorkloadBuilder};
+use rumor::sim::{PaperProtocol, Scenario, WorkloadBuilder};
 
 const TOPICS: [&str; 4] = ["news/tech", "news/science", "news/sports", "news/music"];
 
@@ -38,8 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Execute the whole schedule (plus 30 settle rounds for late pulls)
     // and collect per-update outcomes.
-    let mut sim = scenario.simulation(config);
-    let report = sim.run_workload(scenario.workload(), 30);
+    let protocol = PaperProtocol::new(config);
+    let mut sim = scenario.drive(&protocol);
+    let report = sim.run_workload(&protocol, scenario.workload(), 30);
 
     println!("\nworkload outcome:");
     println!("  rounds executed       : {}", report.rounds);
@@ -94,8 +95,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let sim_report = sim.report();
-    println!("\ntraffic: {}", sim_report.engine);
-    println!("peer counters: {}", sim_report.peers);
+    let traffic = sim.stats();
+    println!(
+        "\ntraffic: sent {}, delivered {}, lost offline {}, lost to faults {}",
+        traffic.sent, traffic.delivered, traffic.lost_offline, traffic.lost_fault
+    );
+    let (pushes, duplicates, pulls) = sim.nodes().iter().fold((0, 0, 0), |acc, p| {
+        let s = p.stats();
+        (
+            acc.0 + s.pushes_received,
+            acc.1 + s.duplicates_received,
+            acc.2 + s.pulls_initiated,
+        )
+    });
+    println!("peer counters: {pushes} pushes received ({duplicates} duplicates), {pulls} pulls");
     Ok(())
 }

@@ -6,7 +6,7 @@
 
 use rumor::churn::MarkovChurn;
 use rumor::core::{ForwardPolicy, ProtocolConfig, PullStrategy, QueryPolicy};
-use rumor::sim::Scenario;
+use rumor::sim::{PaperProtocol, Scenario, UpdateEvent};
 use rumor::types::{DataKey, PeerId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,12 +26,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .pull_strategy(PullStrategy::Eager) // online_again => pull
         .pull_fanout(3)
         .build()?;
-    let mut sim = scenario.simulation(config);
+    let protocol = PaperProtocol::new(config);
+    let mut sim = scenario.drive(&protocol);
 
-    // One peer publishes a new value; the push phase floods it to the
-    // online population with the partial-list optimisation.
+    // A random online peer publishes a new value (payload "u0"); the push
+    // phase floods it to the online population with the partial-list
+    // optimisation.
     let key = DataKey::from_name("message-of-the-day");
-    let report = sim.propagate(key, "rumors spread fast", 60);
+    let event = UpdateEvent {
+        round: 0,
+        key,
+        delete: false,
+        sequence: 0,
+    };
+    let update = sim
+        .initiate(&protocol, None, &event)
+        .expect("someone is online");
+    let report = sim.track_update(&protocol, update, 60);
 
     println!("push phase:");
     println!("  rounds                : {}", report.rounds);
@@ -43,23 +54,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  total awareness       : {:.1}%",
         report.aware_total_fraction * 100.0
     );
-    println!("  push messages         : {}", report.push_messages);
+    println!("  push messages         : {}", report.protocol_messages);
     println!(
         "  per initially-online  : {:.2}",
-        report.messages_per_initial_online()
+        report.protocol_messages as f64 / report.initial_online as f64
     );
-    println!("  duplicates received   : {}", report.duplicates);
+    let duplicates: u64 = sim
+        .nodes()
+        .iter()
+        .map(|p| p.stats().duplicates_received)
+        .sum();
+    println!("  duplicates received   : {duplicates}");
 
     // A peer that slept through the whole push comes online: the eager
     // pull strategy reconciles it within a couple of rounds.
     let sleeper = (0..population as u32)
         .map(PeerId::new)
-        .find(|&p| !sim.online().is_online(p) && sim.peer(p).store().get(key).is_none())
+        .find(|&p| !sim.online().is_online(p) && sim.node(p).store().get(key).is_none())
         .expect("someone slept through the push");
     sim.set_online(sleeper, true);
     sim.run_rounds(4);
 
-    let value = sim.peer(sleeper).store().get(key);
+    let value = sim.node(sleeper).store().get(key);
     println!("\npull phase:");
     println!(
         "  {sleeper} came online and now reads: {:?}",

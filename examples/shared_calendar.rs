@@ -5,9 +5,17 @@
 //! Run with: `cargo run --example shared_calendar`
 
 use rumor::churn::MarkovChurn;
-use rumor::core::{ProtocolConfig, PullStrategy, Value};
-use rumor::sim::Scenario;
-use rumor::types::{DataKey, PeerId};
+use rumor::core::{ProtocolConfig, PullStrategy, ReplicaPeer, Value};
+use rumor::sim::{Driver, PaperProtocol, Scenario};
+use rumor::types::{DataKey, PeerId, Round};
+
+/// Writes `value` (a tombstone when `None`) to `slot` at replica `at`.
+fn book(sim: &mut Driver<ReplicaPeer>, at: PeerId, slot: DataKey, value: Option<&str>) {
+    let round = Round::new(sim.rounds_run());
+    sim.apply(at, |peer, rng, out| {
+        peer.initiate_update(slot, value.map(Value::from), round, rng, out)
+    });
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let population = 400;
@@ -20,13 +28,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .pull_strategy(PullStrategy::Eager)
         .pull_fanout(3)
         .build()?;
-    let mut sim = scenario.simulation(config);
+    let mut sim = scenario.drive(&PaperProtocol::new(config));
 
     let slot = DataKey::from_name("calendar/2026-06-12T10:00");
 
     // Alice books the slot; the booking propagates.
     let alice = PeerId::new(0);
-    sim.initiate_update(Some(alice), slot, Some(Value::from("alice: standup")));
+    book(&mut sim, alice, slot, Some("alice: standup"));
     sim.run_rounds(12);
 
     // Bob and Carol — on different replicas — both reschedule the slot in
@@ -41,12 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter_online()
         .find(|p| p.index() > 10 && *p != bob)
         .expect("someone else online");
-    sim.initiate_update(Some(bob), slot, Some(Value::from("bob: 1:1 with dana")));
-    sim.initiate_update(Some(carol), slot, Some(Value::from("carol: design review")));
+    book(&mut sim, bob, slot, Some("bob: 1:1 with dana"));
+    book(&mut sim, carol, slot, Some("carol: design review"));
     sim.run_rounds(20);
 
     // §3: conflicts are not resolved — both versions coexist.
-    let versions = sim.peer(alice).store().versions(slot);
+    let versions = sim.node(alice).store().versions(slot);
     println!(
         "versions visible at {alice} after concurrent writes: {}",
         versions.len()
@@ -66,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Bob deletes his booking: a tombstone supersedes his branch only.
     let bob_version = sim
-        .peer(bob)
+        .node(bob)
         .store()
         .versions(slot)
         .iter()
@@ -74,10 +82,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|v| v.lineage().clone())
         .expect("bob sees his own booking");
     drop(bob_version);
-    sim.initiate_update(Some(bob), slot, None); // tombstone over bob's latest
+    book(&mut sim, bob, slot, None); // tombstone over bob's latest
     sim.run_rounds(20);
 
-    let after = sim.peer(alice).store().versions(slot);
+    let after = sim.node(alice).store().versions(slot);
     let tombstones = after.iter().filter(|v| v.is_tombstone()).count();
     let live: Vec<String> = after
         .iter()
@@ -90,11 +98,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(tombstones >= 1, "the death certificate must propagate");
 
     // Eventual consistency check across the online population.
-    let digest = sim.peer(alice).store().digest();
+    let digest = sim.node(alice).store().digest();
     let agreeing = sim
         .online()
         .iter_online()
-        .filter(|p| sim.peer(*p).store().digest() == digest)
+        .filter(|p| sim.node(*p).store().digest() == digest)
         .count();
     println!(
         "replicas agreeing with {alice}: {agreeing}/{} online",

@@ -8,7 +8,7 @@ use rumor::analysis::{PfSchedule, PushModel, PushParams};
 use rumor::churn::MarkovChurn;
 use rumor::core::{ForwardPolicy, ProtocolConfig, PullStrategy};
 use rumor::metrics::{Align, Table};
-use rumor::sim::Scenario;
+use rumor::sim::{PaperProtocol, Scenario, UpdateEvent};
 use rumor::types::DataKey;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -86,11 +86,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .forward(forward)
         .pull_strategy(PullStrategy::OnDemand)
         .build()?;
-    let mut sim = scenario.simulation(config);
-    let report = sim.propagate(DataKey::from_name("tuned"), "v", 80);
+    let protocol = PaperProtocol::new(config);
+    let mut sim = scenario.drive(&protocol);
+    let event = UpdateEvent {
+        round: 0,
+        key: DataKey::from_name("tuned"),
+        delete: false,
+        sequence: 0,
+    };
+    let update = sim
+        .initiate(&protocol, None, &event)
+        .expect("someone is online");
+    let report = sim.track_update(&protocol, update, 80);
     println!(
         "simulator confirms: {:.2} msgs/peer, awareness {:.4}, {} rounds",
-        report.messages_per_initial_online(),
+        report.protocol_messages as f64 / report.initial_online as f64,
         report.aware_online_fraction,
         report.rounds
     );

@@ -17,7 +17,7 @@
 //! | [`core`] | `rumor-core` | the protocol: replica state machine, versions, partial lists, `PF(t)` policies, stores |
 //! | [`analysis`] | `rumor-analysis` | the §4 analytical model (figures & Table 2) |
 //! | [`sim`] | `rumor-sim` | the `Scenario`/`Driver`/`Protocol` experiment harness + synchronous-round simulator over the real protocol |
-//! | [`churn`] | `rumor-churn` | availability models (σ/p_on chains, on/off dwell, traces, catastrophes) |
+//! | [`churn`] | `rumor-churn` | availability models (σ/p_on chains, heterogeneous backbones, catastrophes) |
 //! | [`net`] | `rumor-net` | sync round engine, loss/partitions, topologies |
 //! | [`wire`] | `rumor-wire` | versioned, length-prefixed binary wire codec (frames, strict decode) |
 //! | [`cluster`] | `rumor-cluster` | live runtime: sans-IO nodes on OS threads, a sharded worker pool, or virtual time, exchanging encoded frames |
@@ -25,25 +25,27 @@
 //! | [`obs`] | `rumor-obs` | deterministic structured tracing: `Tracer` sinks, canonical trace merge, dissemination timelines |
 //! | [`baselines`] | `rumor-baselines` | Gnutella, pure flooding, Haas GOSSIP1, Demers anti-entropy & rumor mongering |
 //! | [`pgrid`] | `rumor-pgrid` | the P-Grid trie overlay hosting the protocol |
-//! | [`metrics`] | `rumor-metrics` | counters, series, histograms, tables |
+//! | [`metrics`] | `rumor-metrics` | per-round series, sample statistics, histograms, tables |
 //! | [`types`] | `rumor-types` | shared ids, rounds, seeds, the one JSON value ([`types::json`]) |
 //!
 //! # Quickstart
 //!
 //! A [`sim::Scenario`] declares the environment; any protocol — the
-//! paper peer or a baseline — mounts into it through the one shared
-//! [`sim::Driver`]:
+//! paper peer ([`sim::PaperProtocol`]) or a baseline — mounts into it
+//! through the one shared [`sim::Driver`]:
 //!
 //! ```
 //! use rumor::core::ProtocolConfig;
-//! use rumor::sim::Scenario;
+//! use rumor::sim::{PaperProtocol, Scenario, UpdateEvent};
 //! use rumor::types::DataKey;
 //!
 //! // A replica partition of 1000 peers, 30% online, fanout 0.02.
 //! let scenario = Scenario::builder(1000, 7).online_fraction(0.3).build()?;
-//! let config = ProtocolConfig::builder(1000).fanout_fraction(0.02).build()?;
-//! let mut sim = scenario.simulation(config);
-//! let report = sim.propagate(DataKey::from_name("motd"), "hello p2p", 60);
+//! let protocol = PaperProtocol::new(ProtocolConfig::builder(1000).fanout_fraction(0.02).build()?);
+//! let mut driver = scenario.drive(&protocol);
+//! let event = UpdateEvent { round: 0, key: DataKey::from_name("motd"), delete: false, sequence: 0 };
+//! let update = driver.initiate(&protocol, None, &event).expect("someone online");
+//! let report = driver.track_update(&protocol, update, 60);
 //! assert!(report.aware_online_fraction > 0.95);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -137,9 +137,9 @@ fn rumor_mongering_signature_is_unchanged() {
 
 #[test]
 fn workload_with_tombstones_signature_is_unchanged() {
-    // Writes + tombstones through Simulation::run_workload: pins the
-    // Driver::initiate path (sink injection) and per-update convergence
-    // bookkeeping.
+    // Writes + tombstones through Scenario::run (Driver::run_workload):
+    // pins the Driver::initiate path (sink injection) and per-update
+    // convergence bookkeeping.
     let workload = WorkloadBuilder::new(9)
         .rate_per_round(0.3)
         .rounds(20)
@@ -151,8 +151,7 @@ fn workload_with_tombstones_signature_is_unchanged() {
         .workload(workload)
         .build()
         .unwrap();
-    let mut sim = scenario.simulation(paper_config(120));
-    let report = sim.run_workload(scenario.workload(), 10);
+    let report = scenario.run(&PaperProtocol::new(paper_config(120)), 10);
     assert_eq!(report.rounds, 22);
     assert_eq!(report.messages, 6371);
     assert_eq!(report.dropped_events, 0);

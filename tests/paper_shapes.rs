@@ -1,7 +1,7 @@
 //! The headline reproduction claims: every figure and table of the paper
 //! holds in *shape* — who wins, by roughly what factor, where the
-//! crossovers fall. These assertions are the contract `EXPERIMENTS.md`
-//! documents.
+//! crossovers fall. The comment at each assertion names the claim it
+//! checks; ROADMAP item 12 tracks where the numbers and the paper part.
 
 use rumor_bench::experiments::{self, Table2Setting};
 

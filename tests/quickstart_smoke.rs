@@ -6,7 +6,7 @@
 
 use rumor::churn::MarkovChurn;
 use rumor::core::{ForwardPolicy, ProtocolConfig, PullStrategy, QueryPolicy};
-use rumor::sim::Scenario;
+use rumor::sim::{PaperProtocol, Scenario, UpdateEvent};
 use rumor::types::{DataKey, PeerId};
 
 #[test]
@@ -27,12 +27,22 @@ fn quickstart_flow_end_to_end() {
         .pull_fanout(3)
         .build()
         .expect("quickstart config is valid");
-    let mut sim = scenario.simulation(config);
+    let protocol = PaperProtocol::new(config);
+    let mut sim = scenario.drive(&protocol);
 
     // Push phase: the example prints these numbers; the test pins the
     // claims behind them.
     let key = DataKey::from_name("message-of-the-day");
-    let report = sim.propagate(key, "rumors spread fast", 60);
+    let event = UpdateEvent {
+        round: 0,
+        key,
+        delete: false,
+        sequence: 0,
+    };
+    let update = sim
+        .initiate(&protocol, None, &event)
+        .expect("someone is online");
+    let report = sim.track_update(&protocol, update, 60);
     assert!(
         report.aware_online_fraction > 0.8,
         "push must blanket the online population, got {}",
@@ -42,24 +52,24 @@ fn quickstart_flow_end_to_end() {
         report.aware_total_fraction < report.aware_online_fraction,
         "offline peers cannot have been reached by push alone"
     );
-    assert!(report.push_messages > 0);
-    assert!(report.messages_per_initial_online() > 1.0);
+    assert!(report.protocol_messages > 0);
+    assert!(report.protocol_messages as f64 / report.initial_online as f64 > 1.0);
     assert!(report.rounds <= 60);
 
     // Pull phase: a peer that slept through the push comes online and the
     // eager pull strategy reconciles it within a few rounds.
     let sleeper = (0..population as u32)
         .map(PeerId::new)
-        .find(|&p| !sim.online().is_online(p) && sim.peer(p).store().get(key).is_none())
+        .find(|&p| !sim.online().is_online(p) && sim.node(p).store().get(key).is_none())
         .expect("someone slept through the push");
     sim.set_online(sleeper, true);
     sim.run_rounds(4);
     let value = sim
-        .peer(sleeper)
+        .node(sleeper)
         .store()
         .get(key)
         .expect("pull recovers the update");
-    assert_eq!(value.as_bytes(), b"rumors spread fast");
+    assert_eq!(value.as_bytes(), event.payload().as_bytes());
 
     // Query: five replicas answer, the latest version wins.
     let answer = sim
@@ -67,6 +77,6 @@ fn quickstart_flow_end_to_end() {
         .expect("replicas hold the key");
     assert_eq!(
         answer.value.expect("not a tombstone").as_bytes(),
-        b"rumors spread fast"
+        event.payload().as_bytes()
     );
 }

@@ -8,7 +8,9 @@
 
 use rumor::churn::MarkovChurn;
 use rumor::core::ProtocolConfig;
-use rumor::sim::{Experiment, ReplicatedReport, Scenario, TopologySpec};
+use rumor::sim::{
+    Experiment, PaperProtocol, ReplicatedReport, RunReport, Scenario, TopologySpec, UpdateEvent,
+};
 use rumor::types::DataKey;
 
 /// Worker count under test: `RUMOR_TEST_THREADS` when set (CI matrix),
@@ -18,6 +20,23 @@ fn env_threads() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(4)
+}
+
+/// Mounts the paper peer with `config`, writes `key` at a random online
+/// peer and tracks the push for up to `max_rounds` rounds.
+fn propagate(scenario: &Scenario, config: ProtocolConfig, key: &str, max_rounds: u32) -> RunReport {
+    let protocol = PaperProtocol::new(config);
+    let mut driver = scenario.drive(&protocol);
+    let event = UpdateEvent {
+        round: 0,
+        key: DataKey::from_name(key),
+        delete: false,
+        sequence: 0,
+    };
+    let update = driver
+        .initiate(&protocol, None, &event)
+        .expect("an online initiator");
+    driver.track_update(&protocol, update, max_rounds)
 }
 
 /// A deliberately non-trivial replication body: churn, partial
@@ -36,8 +55,7 @@ fn replicated(threads: usize) -> ReplicatedReport {
             .fanout_absolute(5)
             .build()
             .expect("valid config");
-        let mut sim = scenario.simulation(config);
-        sim.propagate(DataKey::from_name("det-suite"), "payload", 60)
+        propagate(&scenario, config, "det-suite", 60)
     });
     ReplicatedReport::from_push(&reports)
 }
@@ -105,9 +123,8 @@ fn substream_trajectories_differ_but_replay_exactly() {
                 .fanout_absolute(4)
                 .build()
                 .expect("valid config");
-            let mut sim = scenario.simulation(config);
-            let r = sim.propagate(DataKey::from_name("indep"), "v", 50);
-            (r.total_messages, r.push_messages, r.rounds)
+            let r = propagate(&scenario, config, "indep", 50);
+            (r.total_messages, r.protocol_messages, r.rounds)
         })
     };
     let first = run();

@@ -5,10 +5,18 @@
 use rumor::baselines::GnutellaFlooding;
 use rumor::churn::MarkovChurn;
 use rumor::core::{ProtocolConfig, PullStrategy};
-use rumor::sim::{
-    ConvergenceSpec, PaperProtocol, Scenario, SimulationBuilder, UpdateEvent, WorkloadBuilder,
-};
+use rumor::sim::{ConvergenceSpec, PaperProtocol, Scenario, UpdateEvent, WorkloadBuilder};
 use rumor::types::DataKey;
+
+/// The scheduled write of `key` every tracked push here initiates.
+fn write(key: DataKey) -> UpdateEvent {
+    UpdateEvent {
+        round: 0,
+        key,
+        delete: false,
+        sequence: 0,
+    }
+}
 
 /// A `WorkloadBuilder` schedule (multiple keys, deletes included) runs
 /// through `run_workload` with per-update convergence tracking; tombstone
@@ -38,8 +46,9 @@ fn workload_with_tombstones_executes_end_to_end() {
         .build()
         .unwrap();
 
-    let mut sim = scenario.simulation(config);
-    let report = sim.run_workload(scenario.workload(), 60);
+    let protocol = PaperProtocol::new(config);
+    let mut driver = scenario.drive(&protocol);
+    let report = driver.run_workload(&protocol, scenario.workload(), 60);
 
     assert_eq!(
         report.updates.len(),
@@ -76,8 +85,8 @@ fn workload_with_tombstones_executes_end_to_end() {
             .find(|o| o.sequence == event.sequence)
             .expect("tracked");
         assert!(outcome.delete);
-        let holder = sim
-            .peers()
+        let holder = driver
+            .nodes()
             .iter()
             .find(|p| p.has_processed(outcome.update))
             .expect("someone processed the delete");
@@ -93,71 +102,43 @@ fn workload_with_tombstones_executes_end_to_end() {
     }
 }
 
-/// Seed parity, in two halves. First, golden pins: the constants below
-/// were recorded by running this exact configuration against the
-/// **pre-redesign** `Simulation` (its own round loop, commit 7ce9ffc),
-/// so a pass proves the `Driver` rewrite changed no trajectories.
-/// Second, the legacy `SimulationBuilder` + `propagate` wrapper and the
-/// raw `Scenario` → `Driver` path must agree bit for bit.
+/// Seed parity: the constants below were recorded by running this exact
+/// configuration against the **pre-redesign** simulator (its own round
+/// loop, commit 7ce9ffc), so a pass proves the `Scenario` → `Driver` path
+/// every protocol now runs on changed no trajectory.
 #[test]
 fn driver_path_matches_simulation_propagate_bit_for_bit() {
     let population = 400;
-    let seed = 99;
     let key = DataKey::from_name("parity");
     let config = ProtocolConfig::builder(population)
         .fanout_absolute(5)
         .build()
         .unwrap();
-
-    // Old entry point: the typed wrapper.
-    let mut sim = SimulationBuilder::new(population, seed)
-        .online_fraction(0.5)
-        .churn(MarkovChurn::new(0.95, 0.01).unwrap())
-        .protocol(config.clone())
-        .build()
-        .unwrap();
-    let push = sim.propagate(key, "v", 50);
-
-    // Golden trajectory recorded from the pre-redesign implementation.
-    assert_eq!(push.rounds, 21);
-    assert_eq!(push.push_messages, 657);
-    assert_eq!(push.total_messages, 874);
-    assert_eq!(push.duplicates, 123);
-    assert_eq!(push.initial_online, 200);
-    assert_eq!(push.aware_online_fraction, 70.0 / 97.0);
-    assert_eq!(push.aware_total_fraction, 0.37);
-    let last = push.per_round.last().unwrap();
-    assert_eq!((last.round, last.online, last.aware_online), (20, 97, 70));
-
-    // New entry point: scenario + generic driver, same seed.
-    let scenario = Scenario::builder(population, seed)
+    let scenario = Scenario::builder(population, 99)
         .online_fraction(0.5)
         .churn(MarkovChurn::new(0.95, 0.01).unwrap())
         .build()
         .unwrap();
     let protocol = PaperProtocol::new(config);
     let mut driver = scenario.drive(&protocol);
-    let update = driver
-        .initiate(
-            &protocol,
-            None,
-            &UpdateEvent {
-                round: 0,
-                key,
-                delete: false,
-                sequence: 0,
-            },
-        )
-        .unwrap();
+    let update = driver.initiate(&protocol, None, &write(key)).unwrap();
     let run = driver.track_update(&protocol, update, 50);
+    let duplicates: u64 = driver
+        .nodes()
+        .iter()
+        .map(|p| p.stats().duplicates_received)
+        .sum();
 
-    assert_eq!(push.rounds, run.rounds);
-    assert_eq!(push.per_round, run.per_round, "identical per-round trace");
-    assert_eq!(push.push_messages, run.protocol_messages);
-    assert_eq!(push.total_messages, run.total_messages);
-    assert_eq!(push.aware_online_fraction, run.aware_online_fraction);
-    assert_eq!(push.aware_total_fraction, run.aware_total_fraction);
-    assert_eq!(push.initial_online, run.initial_online);
+    // Golden trajectory recorded from the pre-redesign implementation.
+    assert_eq!(run.rounds, 21);
+    assert_eq!(run.protocol_messages, 657);
+    assert_eq!(run.total_messages, 874);
+    assert_eq!(duplicates, 123);
+    assert_eq!(run.initial_online, 200);
+    assert_eq!(run.aware_online_fraction, 70.0 / 97.0);
+    assert_eq!(run.aware_total_fraction, 0.37);
+    let last = run.per_round.last().unwrap();
+    assert_eq!((last.round, last.online, last.aware_online), (20, 97, 70));
 }
 
 /// The convergence criterion is part of the scenario, not a buried
@@ -171,8 +152,10 @@ fn scenario_convergence_spec_controls_tracking() {
             .fanout_absolute(6)
             .build()
             .unwrap();
-        let mut sim = scenario.simulation(config);
-        sim.propagate(key, "v", 60)
+        let protocol = PaperProtocol::new(config);
+        let mut driver = scenario.drive(&protocol);
+        let update = driver.initiate(&protocol, None, &write(key)).unwrap();
+        driver.track_update(&protocol, update, 60)
     };
     let strict = run(ConvergenceSpec::default());
     let loose = run(ConvergenceSpec {
@@ -197,12 +180,7 @@ fn one_scenario_drives_paper_and_baseline_alike() {
         .online_fraction(0.8)
         .build()
         .unwrap();
-    let event = UpdateEvent {
-        round: 0,
-        key: DataKey::from_name("versus"),
-        delete: false,
-        sequence: 0,
-    };
+    let event = write(DataKey::from_name("versus"));
 
     let paper = PaperProtocol::new(
         ProtocolConfig::builder(population)
