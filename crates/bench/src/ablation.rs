@@ -4,7 +4,7 @@ use rumor_churn::MarkovChurn;
 use rumor_core::{
     AckPolicy, DiscardStrategy, ForwardPolicy, ProtocolConfig, PullStrategy, TruncationPolicy,
 };
-use rumor_sim::{Scenario, TopologySpec};
+use rumor_sim::{PaperProtocol, Scenario, TopologySpec};
 use serde::{Deserialize, Serialize};
 
 /// One ablation row.
@@ -39,7 +39,8 @@ fn run(
         .churn(MarkovChurn::new(sigma, p_on).expect("valid churn"))
         .build()
         .expect("valid scenario");
-    let (driver, report) = crate::simfig::push_once(&scenario, config, "ablation", 80);
+    let protocol = PaperProtocol::new(config);
+    let (driver, report) = crate::simfig::push_once(&scenario, &protocol, "ablation", 80);
     let duplicates: u64 = driver
         .nodes()
         .iter()

@@ -1,23 +1,22 @@
 //! Figure artefacts: the analytical curves of each paper figure paired
 //! with a replicated simulation overlay, ready for JSON emission.
 //!
-//! Every figure bin (`fig1` … `fig5`) and `all_experiments` writes one
-//! [`FigureArtefact`] per figure. The analytical side reproduces the
-//! paper's closed-form curves; the simulated side runs the real protocol
-//! at simulator-friendly scale through the replication harness
-//! ([`rumor_sim::Experiment`]), so the artefact carries
-//! `mean/ci95/stddev/n` blocks downstream plotting draws as error bars.
+//! Each figure is one row of a settings table: its name, seed namespace,
+//! analytic curves and the labelled simulator settings of its overlay.
+//! `paper <figure>` folds a row into one [`FigureArtefact`]. The
+//! analytical side reproduces the paper's closed-form curves; the
+//! simulated side runs the real protocol at simulator-friendly scale
+//! through the replication harness ([`rumor_sim::Experiment`]), so the
+//! artefact carries `mean/ci95/stddev/n` blocks downstream plotting
+//! draws as error bars.
 
 use crate::experiments::FigureSeries;
 use crate::json::ToJson;
-use crate::simfig::{self, ReplicatedSeries};
+use crate::simfig::{replicated_series, PushSetting, ReplicatedSeries};
 use crate::{experiments, render};
+use rumor_metrics::SampleStats;
 use rumor_types::derive_seed;
 use std::path::{Path, PathBuf};
-
-/// The master seed the figure overlays derive their replication
-/// substreams from (each figure further derives its own namespace).
-pub const DEFAULT_FIGURE_SEED: u64 = 42;
 
 /// One figure's full payload: the paper's analytical curves plus the
 /// replicated simulation overlay.
@@ -61,75 +60,172 @@ impl FigureArtefact {
     }
 }
 
-fn figure_seed(master: u64, figure: &str) -> u64 {
-    derive_seed(master, figure)
-}
+/// Simulator population of the overlays: the paper's R = 10⁴…10⁸
+/// parameter sets, executed at simulator-friendly scale.
+const R: usize = 2_000;
 
-/// Fig. 1(a) artefact: the dying-rumor regime plus its simulated
-/// counterpart (1% initial availability). Runs only that one setting —
-/// it shares labels/seeds with [`simfig::fig1_overlay`]'s first series,
-/// so the numbers match Fig. 1(b)'s overlay without recomputing the
-/// other four curves.
-pub fn fig1a(replications: u32, master_seed: u64) -> FigureArtefact {
-    FigureArtefact {
-        figure: "fig1a".into(),
-        analytic: experiments::fig1a(),
-        simulated: vec![simfig::fig1_overlay_low_availability(
-            replications,
-            figure_seed(master_seed, "fig1"),
-        )],
+/// A [`PushSetting`] by position: population, initially online, `σ`,
+/// `f_r` and the `PF(t)` base (`None` for `PF = 1`).
+const fn push(
+    total: usize,
+    online: usize,
+    sigma: f64,
+    f_r: f64,
+    pf_base: Option<f64>,
+) -> PushSetting {
+    PushSetting {
+        total,
+        online,
+        sigma,
+        f_r,
+        pf_base,
     }
 }
 
-/// Fig. 1(b) artefact: varying the initial online population.
-pub fn fig1b(replications: u32, master_seed: u64) -> FigureArtefact {
-    FigureArtefact {
-        figure: "fig1b".into(),
-        analytic: experiments::fig1b(),
-        simulated: simfig::fig1_overlay(replications, figure_seed(master_seed, "fig1")),
-    }
+/// Fig. 5's setting at population `total`: 10% online, σ = 1, fanout
+/// fixed at R·f_r = 20, PF(t) = 0.9ᵗ.
+const fn fig5(total: usize) -> PushSetting {
+    push(total, total / 10, 1.0, 20.0 / total as f64, Some(0.9))
 }
 
-/// Fig. 2 artefact: varying the fanout fraction `f_r`.
-pub fn fig2(replications: u32, master_seed: u64) -> FigureArtefact {
-    FigureArtefact {
-        figure: "fig2".into(),
-        analytic: experiments::fig2(),
-        simulated: simfig::fig2_overlay(replications, figure_seed(master_seed, "fig2")),
-    }
+/// A metric of a replicated curve that a figure draws as error bars.
+type Metric = fn(&ReplicatedSeries) -> &SampleStats;
+
+/// One paper figure as data: what it computes, and how it is printed.
+pub(crate) struct Figure {
+    /// Artefact name: the `paper` experiment name and the JSON file stem.
+    pub(crate) name: &'static str,
+    /// Seed namespace under the master seed; every overlay curve runs on
+    /// `derive_seed(derive_seed(master, namespace), label)`.
+    namespace: &'static str,
+    /// Heading of the analytic curves' point tables.
+    pub(crate) title: &'static str,
+    /// Short name that heads the summary and error-bar tables.
+    pub(crate) short: &'static str,
+    /// The paper's closed-form curves.
+    analytic: fn() -> Vec<FigureSeries>,
+    /// The simulated overlay: one labelled setting per curve.
+    overlay: &'static [(&'static str, PushSetting)],
+    /// The metric drawn as error bars, with its heading noun.
+    pub(crate) bars: Option<(&'static str, Metric)>,
 }
 
-/// Fig. 3 artefact: varying the stay-online probability `sigma`.
-pub fn fig3(replications: u32, master_seed: u64) -> FigureArtefact {
-    FigureArtefact {
-        figure: "fig3".into(),
-        analytic: experiments::fig3(),
-        simulated: simfig::fig3_overlay(replications, figure_seed(master_seed, "fig3")),
-    }
-}
+/// Fig. 1's overlay: R_on(0) from 1% to 100% of R (σ = 0.95, PF = 1,
+/// f_r = 0.01).
+const FIG1: [(&str, PushSetting); 5] = [
+    ("sim R_on[0]/R = 20/2000", push(R, 20, 0.95, 0.01, None)),
+    ("sim R_on[0]/R = 100/2000", push(R, 100, 0.95, 0.01, None)),
+    ("sim R_on[0]/R = 200/2000", push(R, 200, 0.95, 0.01, None)),
+    ("sim R_on[0]/R = 600/2000", push(R, 600, 0.95, 0.01, None)),
+    ("sim R_on[0]/R = 2000/2000", push(R, R, 0.95, 0.01, None)),
+];
 
-/// Fig. 4 artefact: varying the forwarding schedule `PF(t)`.
-pub fn fig4(replications: u32, master_seed: u64) -> FigureArtefact {
-    FigureArtefact {
-        figure: "fig4".into(),
-        analytic: experiments::fig4(),
-        simulated: simfig::fig4_overlay(replications, figure_seed(master_seed, "fig4")),
-    }
-}
+/// Every paper figure, in print order. Fig. 1(a) is the dying-rumor
+/// curve of Fig. 1(b) alone: it shares the namespace and the label, so
+/// its overlay equals Fig. 1(b)'s first curve.
+pub(crate) const FIGURES: [Figure; 6] = [
+    Figure {
+        name: "fig1a",
+        namespace: "fig1",
+        title: "Fig. 1(a): R_on[0] = 1% — the rumor dies",
+        short: "Fig. 1(a)",
+        analytic: experiments::fig1a,
+        overlay: &[FIG1[0]],
+        bars: None,
+    },
+    Figure {
+        name: "fig1b",
+        namespace: "fig1",
+        title: "Fig. 1(b): varying R_on[0]/R (sigma=0.95, PF=1, f_r=0.01)",
+        short: "Fig. 1(b)",
+        analytic: experiments::fig1b,
+        overlay: &FIG1,
+        bars: Some(("awareness", |s| &s.final_awareness)),
+    },
+    // σ = 0.9, PF = 1, 10% online.
+    Figure {
+        name: "fig2",
+        namespace: "fig2",
+        title: "Fig. 2: varying F_r (sigma=0.9, PF=1, R_on[0]=1000)",
+        short: "Fig. 2",
+        analytic: experiments::fig2,
+        overlay: &[
+            ("sim F_r = 0.005", push(R, 200, 0.9, 0.005, None)),
+            ("sim F_r = 0.01", push(R, 200, 0.9, 0.01, None)),
+            ("sim F_r = 0.02", push(R, 200, 0.9, 0.02, None)),
+            ("sim F_r = 0.05", push(R, 200, 0.9, 0.05, None)),
+        ],
+        bars: Some(("msgs/peer", |s| &s.total_per_peer)),
+    },
+    // PF = 1, 10% online, f_r = 0.01.
+    Figure {
+        name: "fig3",
+        namespace: "fig3",
+        title: "Fig. 3: varying sigma (PF=1, R_on[0]=1000, F_r=0.01)",
+        short: "Fig. 3",
+        analytic: experiments::fig3,
+        overlay: &[
+            ("sim Sigma = 1", push(R, 200, 1.0, 0.01, None)),
+            ("sim Sigma = 0.95", push(R, 200, 0.95, 0.01, None)),
+            ("sim Sigma = 0.8", push(R, 200, 0.8, 0.01, None)),
+            ("sim Sigma = 0.7", push(R, 200, 0.7, 0.01, None)),
+            ("sim Sigma = 0.5", push(R, 200, 0.5, 0.01, None)),
+        ],
+        bars: Some(("msgs/peer", |s| &s.total_per_peer)),
+    },
+    // σ = 0.9, 10% online, f_r = 0.01.
+    Figure {
+        name: "fig4",
+        namespace: "fig4",
+        title: "Fig. 4: varying PF(t) (sigma=0.9, R_on[0]=1000, F_r=0.01)",
+        short: "Fig. 4",
+        analytic: experiments::fig4,
+        overlay: &[
+            ("sim PF = 1", push(R, 200, 0.9, 0.01, None)),
+            ("sim PF(t) = 0.9^t", push(R, 200, 0.9, 0.01, Some(0.9))),
+            ("sim PF(t) = 0.7^t", push(R, 200, 0.9, 0.01, Some(0.7))),
+            ("sim PF(t) = 0.5^t", push(R, 200, 0.9, 0.01, Some(0.5))),
+        ],
+        bars: Some(("msgs/peer", |s| &s.total_per_peer)),
+    },
+    Figure {
+        name: "fig5",
+        namespace: "fig5",
+        title: "Fig. 5: scalability (R_on/R=0.1, sigma=1, PF(t)=0.8*0.7^t+0.2, R*f_r=100)",
+        short: "Fig. 5",
+        analytic: experiments::fig5,
+        overlay: &[
+            ("sim Total population: 500", fig5(500)),
+            ("sim Total population: 1000", fig5(1_000)),
+            ("sim Total population: 2000", fig5(2_000)),
+            ("sim Total population: 4000", fig5(4_000)),
+        ],
+        bars: Some(("msgs/peer", |s| &s.total_per_peer)),
+    },
+];
 
-/// Fig. 5 artefact: scalability across population sizes.
-pub fn fig5(replications: u32, master_seed: u64) -> FigureArtefact {
-    FigureArtefact {
-        figure: "fig5".into(),
-        analytic: experiments::fig5(),
-        simulated: simfig::fig5_overlay(replications, figure_seed(master_seed, "fig5")),
+impl Figure {
+    /// Evaluates the analytic curves and runs every overlay curve for
+    /// `replications` replications under `master_seed`.
+    pub(crate) fn artefact(&self, replications: u32, master_seed: u64) -> FigureArtefact {
+        let seed = derive_seed(master_seed, self.namespace);
+        FigureArtefact {
+            figure: self.name.into(),
+            analytic: (self.analytic)(),
+            simulated: self
+                .overlay
+                .iter()
+                .map(|&(label, setting)| {
+                    replicated_series(label, setting, replications, derive_seed(seed, label))
+                })
+                .collect(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simfig::PushSetting;
 
     #[test]
     fn artefact_json_has_stats_blocks() {
@@ -138,7 +234,7 @@ mod tests {
         let artefact = FigureArtefact {
             figure: "figX".into(),
             analytic: experiments::fig1a(),
-            simulated: vec![simfig::replicated_sim_series(
+            simulated: vec![replicated_series(
                 "sim",
                 PushSetting {
                     total: 200,
@@ -166,6 +262,17 @@ mod tests {
                 "missing {key} in artefact JSON"
             );
         }
+    }
+
+    #[test]
+    fn fig1a_overlay_is_fig1b_first_curve() {
+        let figure = |name: &str| {
+            let row = FIGURES.iter().find(|f| f.name == name).expect("a figure");
+            row.artefact(1, 42)
+        };
+        let (a, b) = (figure("fig1a"), figure("fig1b"));
+        assert_eq!(a.simulated.len(), 1);
+        assert_eq!(a.simulated[0], b.simulated[0], "label, seed and numbers");
     }
 
     #[test]

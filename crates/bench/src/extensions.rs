@@ -13,7 +13,7 @@
 use rumor_churn::{Churn, HeterogeneousChurn, MarkovChurn};
 use rumor_core::{ProtocolConfig, PullStrategy};
 use rumor_metrics::SampleStats;
-use rumor_sim::{Experiment, ReplicatedReport, Scenario};
+use rumor_sim::{Experiment, PaperProtocol, ReplicatedReport, Scenario};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of the bimodality experiment.
@@ -59,7 +59,7 @@ pub fn bimodal(trials: u32, seed: u64) -> BimodalReport {
             .online_fraction(0.15)
             .build()
             .expect("valid scenario");
-        crate::simfig::push_once(&scenario, config, "bimodal", 120)
+        crate::simfig::push_once(&scenario, &PaperProtocol::new(config), "bimodal", 120)
             .1
             .aware_online_fraction
     });
@@ -111,7 +111,7 @@ pub fn heterogeneity(trials: u32, seed: u64) -> Vec<HeterogeneityRow> {
                 .churn(churn.clone())
                 .build()
                 .expect("valid scenario");
-            crate::simfig::push_once(&scenario, config, "hetero", 80).1
+            crate::simfig::push_once(&scenario, &PaperProtocol::new(config), "hetero", 80).1
         });
         let agg = ReplicatedReport::from_push(&reports);
         HeterogeneityRow {

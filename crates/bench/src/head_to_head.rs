@@ -13,13 +13,13 @@
 //! per-contender metrics aggregate into [`SampleStats`] with Student-t
 //! 95% confidence intervals.
 
+use crate::simfig::push_once;
 use rumor_baselines::{
     AntiEntropy, GnutellaFlooding, Gossip1, MongerConfig, MongerStop, RumorMongering,
 };
 use rumor_core::{ForwardPolicy, ProtocolConfig, PullStrategy};
 use rumor_metrics::SampleStats;
-use rumor_sim::{Experiment, PaperProtocol, Protocol, Scenario, SimError, UpdateEvent};
-use rumor_types::DataKey;
+use rumor_sim::{Experiment, PaperProtocol, Protocol, Scenario, SimError};
 use serde::{Deserialize, Serialize};
 
 /// One contender's outcome in one shared scenario (a single
@@ -45,11 +45,6 @@ pub struct ContenderRow {
     pub coverage: f64,
     /// Rounds until the tracker stopped (quiescence or convergence).
     pub rounds: u32,
-    /// Messages that reached nobody — lost to an offline target or a
-    /// link fault (the engine's `wasted()` counter).
-    pub total_wasted: u64,
-    /// `total_wasted / total_messages` (0 when nothing was sent).
-    pub wasted_fraction: f64,
 }
 
 /// One contender's replication statistics across every shared scenario:
@@ -74,10 +69,6 @@ pub struct ContenderSummary {
     pub coverage: SampleStats,
     /// Rounds until the tracker stopped, over replications.
     pub rounds: SampleStats,
-    /// Wasted (nobody-reached) messages, over replications.
-    pub total_wasted: SampleStats,
-    /// Wasted fraction of all sent messages, over replications.
-    pub wasted_fraction: SampleStats,
 }
 
 impl ContenderSummary {
@@ -97,50 +88,19 @@ impl ContenderSummary {
             rows.iter().all(|r| r.protocol == protocol),
             "cannot fold rows from different protocols"
         );
+        let stats = |metric: fn(&ContenderRow) -> f64| {
+            SampleStats::of(&rows.iter().map(|r| metric(r)).collect::<Vec<_>>())
+        };
         ContenderSummary {
             protocol,
             n: rows.len() as u32,
-            protocol_messages: SampleStats::of(
-                &rows
-                    .iter()
-                    .map(|r| r.protocol_messages as f64)
-                    .collect::<Vec<_>>(),
-            ),
-            total_messages: SampleStats::of(
-                &rows
-                    .iter()
-                    .map(|r| r.total_messages as f64)
-                    .collect::<Vec<_>>(),
-            ),
-            total_bytes: SampleStats::of(
-                &rows
-                    .iter()
-                    .map(|r| r.total_bytes as f64)
-                    .collect::<Vec<_>>(),
-            ),
-            mean_message_bytes: SampleStats::of(
-                &rows
-                    .iter()
-                    .map(|r| r.mean_message_bytes)
-                    .collect::<Vec<_>>(),
-            ),
-            messages_per_initial_online: SampleStats::of(
-                &rows
-                    .iter()
-                    .map(|r| r.messages_per_initial_online)
-                    .collect::<Vec<_>>(),
-            ),
-            coverage: SampleStats::of(&rows.iter().map(|r| r.coverage).collect::<Vec<_>>()),
-            rounds: SampleStats::of(&rows.iter().map(|r| f64::from(r.rounds)).collect::<Vec<_>>()),
-            total_wasted: SampleStats::of(
-                &rows
-                    .iter()
-                    .map(|r| r.total_wasted as f64)
-                    .collect::<Vec<_>>(),
-            ),
-            wasted_fraction: SampleStats::of(
-                &rows.iter().map(|r| r.wasted_fraction).collect::<Vec<_>>(),
-            ),
+            protocol_messages: stats(|r| r.protocol_messages as f64),
+            total_messages: stats(|r| r.total_messages as f64),
+            total_bytes: stats(|r| r.total_bytes as f64),
+            mean_message_bytes: stats(|r| r.mean_message_bytes),
+            messages_per_initial_online: stats(|r| r.messages_per_initial_online),
+            coverage: stats(|r| r.coverage),
+            rounds: stats(|r| f64::from(r.rounds)),
         }
     }
 }
@@ -179,17 +139,7 @@ impl Default for ContenderSet {
 }
 
 fn mount<P: Protocol>(scenario: &Scenario, protocol: &P, horizon: u32) -> ContenderRow {
-    let mut driver = scenario.drive(protocol);
-    let event = UpdateEvent {
-        round: 0,
-        key: DataKey::from_name("head-to-head"),
-        delete: false,
-        sequence: 0,
-    };
-    let update = driver
-        .initiate(protocol, None, &event)
-        .expect("scenario guarantees an online initiator");
-    let report = driver.track_update(protocol, update, horizon);
+    let (_, report) = push_once(scenario, protocol, "head-to-head", horizon);
     ContenderRow {
         protocol: protocol.name(),
         protocol_messages: report.protocol_messages,
@@ -199,8 +149,6 @@ fn mount<P: Protocol>(scenario: &Scenario, protocol: &P, horizon: u32) -> Conten
         messages_per_initial_online: report.messages_per_initial_online(),
         coverage: report.aware_online_fraction,
         rounds: report.rounds,
-        total_wasted: report.total_wasted,
-        wasted_fraction: report.wasted_fraction(),
     }
 }
 
@@ -362,8 +310,6 @@ mod tests {
             messages_per_initial_online: 0.5,
             coverage: 1.0,
             rounds: 3,
-            total_wasted: 0,
-            wasted_fraction: 0.0,
         };
         let (a, b) = (row("a"), row("b"));
         let result = std::panic::catch_unwind(|| ContenderSummary::fold(&[&a, &b]));

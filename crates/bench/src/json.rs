@@ -2,7 +2,7 @@
 //!
 //! The offline `serde` shim provides no serialization framework, so the
 //! experiment payload types serialise through [`ToJson`] instead: one
-//! implementation per payload `all_experiments` writes, each building
+//! implementation per payload `paper` writes, each building
 //! the workspace's shared [`Json`] value. Output is plain
 //! standards-compliant JSON, so downstream plotting scripts see the same
 //! artefacts they would with `serde_json`.

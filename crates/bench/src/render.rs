@@ -198,8 +198,6 @@ mod tests {
                 rounds: SampleStats::of(&[5.0, 6.0, 7.0, 8.0]),
                 final_awareness: SampleStats::of(&[0.9, 0.92, 0.94, 0.96]),
                 died_fraction: 0.25,
-                wasted_fraction: SampleStats::of(&[0.1, 0.2, 0.1, 0.2]),
-                per_round_sent_mean: vec![4.0, 2.0, 1.0],
             },
             ReplicatedSeries {
                 label: "curve-b".into(),
@@ -208,8 +206,6 @@ mod tests {
                 rounds: SampleStats::of(&[5.0, 5.0, 5.0, 5.0]),
                 final_awareness: SampleStats::of(&[1.0, 1.0, 1.0, 1.0]),
                 died_fraction: 0.0,
-                wasted_fraction: SampleStats::of(&[0.0, 0.0, 0.0, 0.0]),
-                per_round_sent_mean: vec![8.0, 3.0],
             },
         ]
     }

@@ -670,8 +670,6 @@ fn experiment_artefact_bytes_did_not_move() {
         messages_per_initial_online: 1.0 / 3.0,
         coverage: 1.0,
         rounds: 9,
-        total_wasted: 0,
-        wasted_fraction: 0.0,
     };
     let expected = r#"[
   {
