@@ -8,7 +8,7 @@ use crate::virtual_time::VirtualCluster;
 use rumor_churn::OnlineSet;
 use rumor_net::Node;
 use rumor_sim::{Protocol, Scenario};
-use rumor_types::{PeerId, SeedSequence};
+use rumor_types::SeedSequence;
 use rumor_wire::{Decode, Encode, WireVersion};
 
 /// Builds a live cluster from the same declarative [`Scenario`] the
@@ -136,10 +136,11 @@ impl<'a> ClusterBuilder<'a> {
     }
 }
 
-/// Spawns the scenario's node population into cells: one node per peer
-/// (same topology row and round-0 availability the driver would hand
-/// out) with per-node RNG substreams derived under the `"cluster/node"`
-/// and `"cluster/link"` namespaces. The fault plan's Byzantine fraction
+/// Spawns the scenario's node population into cells through
+/// [`Scenario::spawn`](rumor_sim::Scenario::spawn), the mount the
+/// driver uses too, with per-node RNG substreams derived under the
+/// `"cluster/node"` and `"cluster/link"` namespaces. The fault plan's
+/// Byzantine fraction
 /// is selected here (its own `"cluster/byzantine"` substream — zero
 /// draws when empty) and mounted on the chosen cells; the returned flag
 /// vector records who is adversarial.
@@ -156,12 +157,9 @@ where
     let mut link_seeds = SeedSequence::new(scenario.seed(), "cluster/link");
     let flags = select_byzantine(scenario.seed(), scenario.population(), &faults.byzantine);
     let cells = scenario
-        .adjacency()
-        .into_iter()
-        .enumerate()
-        .map(|(i, known)| {
-            let id = PeerId::new(i as u32);
-            let node = protocol.spawn(id, known, online.is_online(id));
+        .spawn(protocol, online)
+        .map(|(id, node)| {
+            let i = id.index();
             let mut cell = NodeCell::new(
                 id,
                 node,

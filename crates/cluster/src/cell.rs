@@ -2,26 +2,28 @@
 //!
 //! A [`NodeCell`] wraps one sans-IO [`Node`] with everything the live
 //! runtime owns per replica: its protocol and link RNG substreams, its
-//! local timer heap, and the inbox of *encoded* [`Envelope`]s. The tick
-//! routine mirrors `rumor_net::SyncEngine`'s round semantics — status
-//! change, round start, due timers, delivery — with one addition: every
-//! message crosses the node boundary as a `rumor-wire` frame, encoded at
-//! send and strictly decoded at delivery.
+//! own [`TimerQueue`], and the inbox of *encoded* [`Envelope`]s. The
+//! tick routine mirrors `rumor_net::SyncEngine`'s round semantics —
+//! status change, round start, due timers, delivery — with one
+//! addition: every message crosses the node boundary as a `rumor-wire`
+//! frame, encoded at send and strictly decoded at delivery. The timer
+//! rules (saturating delay, floor, arming order) are the engine's: both
+//! arm the same `rumor_net` queue, the engine one for the population, a
+//! cell one for itself.
 
 use crate::byzantine::{ByzantineState, TamperedGroup};
 use bytes::Bytes;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rumor_net::{Effect, EffectSink, LinkFilter, Node};
+use rumor_net::{Effect, EffectSink, LinkFilter, Node, TimerQueue};
 use rumor_obs::{EventKind, MemTracer, MsgKind, TraceEvent, Tracer};
 use rumor_types::{PeerId, Round};
 use rumor_wire::{
     decode_frame, decode_frame_v2, encode_frame, BatchEncoder, Decode, Encode, WireError,
     WireVersion,
 };
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Extra in-flight delivery delay: each frame draws a uniform extra
 /// `0..=max_extra_rounds` rounds (once, at its first eligible tick) from
@@ -45,27 +47,6 @@ pub(crate) struct Envelope {
     pub delay_resolved: bool,
     /// The encoded `rumor-wire` frame.
     pub frame: Bytes,
-}
-
-/// A pending timer, ordered `(fire, seq)` so ties pop in arming order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TimerEntry {
-    fire: u32,
-    seq: u64,
-    tag: u64,
-}
-
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap inverted: earliest (fire, seq) pops first.
-        (other.fire, other.seq).cmp(&(self.fire, self.seq))
-    }
 }
 
 /// Per-cell traffic accounting. `sent` counts frames handed to the
@@ -136,8 +117,7 @@ pub(crate) struct NodeCell<N: Node> {
     link_rng: ChaCha8Rng,
     prev_online: bool,
     primed: bool,
-    timers: BinaryHeap<TimerEntry>,
-    timer_seq: u64,
+    timers: TimerQueue<u64>,
     pub inbox: VecDeque<Envelope>,
     sink: EffectSink<N::Msg>,
     pub stats: CellStats,
@@ -157,7 +137,6 @@ pub(crate) struct NodeCell<N: Node> {
     group_scratch: Vec<N::Msg>,
     decode_scratch: Vec<N::Msg>,
     retained_scratch: Vec<Envelope>,
-    due_scratch: Vec<(u32, u64)>,
     /// Per-cell trace capture; `None` (the default) costs one untaken
     /// branch per event site. Events never leave the cell until the
     /// run finishes, so tracing adds no cross-thread traffic.
@@ -179,8 +158,7 @@ where
             link_rng: ChaCha8Rng::seed_from_u64(link_seed),
             prev_online: false,
             primed: false,
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
+            timers: TimerQueue::default(),
             inbox: VecDeque::new(),
             sink: EffectSink::new(),
             stats: CellStats::default(),
@@ -192,7 +170,6 @@ where
             group_scratch: Vec::new(),
             decode_scratch: Vec::new(),
             retained_scratch: Vec::new(),
-            due_scratch: Vec::new(),
             tracer: None,
             kinder: None,
         }
@@ -251,13 +228,12 @@ where
     /// deliverable from `deliver_from` — emitted on the spot as a group
     /// of one under wire v1, staged for the end-of-tick per-peer flush
     /// under v2; a timer of delay `d` requested at round `now` fires at
-    /// `now + d`, floored at `timer_floor` (the next scan that could
+    /// `now + d`, floored at `deliver_from` too (the next tick that could
     /// observe it, preserving the engine's barrier semantics).
     fn drain_effects(
         &mut self,
         now: u32,
         deliver_from: u32,
-        timer_floor: u32,
         dispatch: &mut dyn FnMut(PeerId, Envelope),
     ) {
         let mut sink = std::mem::take(&mut self.sink);
@@ -276,15 +252,8 @@ where
                     );
                 }
                 Effect::Timer { delay, tag } => {
-                    // A delay beyond the round counter's range never fires.
-                    let delay = u32::try_from(delay).unwrap_or(u32::MAX);
-                    let fire = now.saturating_add(delay).max(timer_floor);
-                    self.timer_seq += 1;
-                    self.timers.push(TimerEntry {
-                        fire,
-                        seq: self.timer_seq,
-                        tag,
-                    });
+                    let floor = Round::new(deliver_from);
+                    self.timers.arm(Round::new(now), delay, floor, tag);
                 }
             }
         }
@@ -405,7 +374,7 @@ where
         dispatch: &mut dyn FnMut(PeerId, Envelope),
     ) -> T {
         let out = f(&mut self.node, &mut self.rng, &mut self.sink);
-        self.drain_effects(round, round, round, dispatch);
+        self.drain_effects(round, round, dispatch);
         self.flush_outbox(round, round, dispatch);
         out
     }
@@ -433,7 +402,7 @@ where
                 self.prev_online = online;
                 self.node
                     .on_status_change(online, r, &mut self.rng, &mut self.sink);
-                self.drain_effects(round, round + 1, round + 1, dispatch);
+                self.drain_effects(round, round + 1, dispatch);
             }
         } else {
             self.primed = true;
@@ -443,30 +412,21 @@ where
         // 2. Round start while online.
         if online {
             self.node.on_round_start(r, &mut self.rng, &mut self.sink);
-            self.drain_effects(round, round + 1, round + 1, dispatch);
+            self.drain_effects(round, round + 1, dispatch);
         }
 
         // 3. Due timers, in arming order. Timers due exactly this round
         //    fire if the node is online; earlier fire rounds can only
         //    mean the node was crashed when they came due — dropped, as
-        //    the engine drops offline peers' due timers.
-        let mut due = std::mem::take(&mut self.due_scratch);
-        due.clear();
-        while let Some(head) = self.timers.peek() {
-            if head.fire > round {
-                break;
-            }
-            let entry = self.timers.pop().expect("peeked");
-            due.push((entry.fire, entry.tag));
-        }
-        for &(fire, tag) in &due {
-            if online && fire == round {
+        //    the engine drops offline peers' due timers. A timer armed
+        //    by `on_timer` is floored past this round, so it waits.
+        while let Some((fire, tag)) = self.timers.pop_due(r) {
+            if online && fire == r {
                 self.trace(round, EventKind::TimerFire { tag });
                 self.node.on_timer(tag, r, &mut self.rng, &mut self.sink);
-                self.drain_effects(round, round + 1, round + 1, dispatch);
+                self.drain_effects(round, round + 1, dispatch);
             }
         }
-        self.due_scratch = due;
 
         // 4. Delivery of eligible frames, in arrival order.
         let mut retained = std::mem::take(&mut self.retained_scratch);
@@ -554,7 +514,7 @@ where
                     }
                     self.node
                         .on_message(env.from, msg, r, &mut self.rng, &mut self.sink);
-                    self.drain_effects(round, round + 1, round + 1, dispatch);
+                    self.drain_effects(round, round + 1, dispatch);
                 }
                 self.stats.messages_delivered += survivors;
                 if survivors > 0 {

@@ -126,8 +126,11 @@ impl Conductor {
 
     /// Records that `initiator` injected `update` before the next tick.
     pub fn initiated(&mut self, initiator: PeerId, update: UpdateId) {
-        if let Some(trace) = self.trace.as_mut() {
-            trace.initiate(self.rounds_run, initiator, update);
+        if let Some(ConductorTrace {
+            tracer, awareness, ..
+        }) = self.trace.as_mut()
+        {
+            awareness.initiate(tracer, self.rounds_run, initiator.as_u32(), update);
         }
     }
 
@@ -180,18 +183,31 @@ impl Conductor {
         }
     }
 
-    /// On a traced run, emits the per-node awareness observation of the
-    /// round just run (only the inline front-end can see it).
-    pub fn trace_probe<I: Iterator<Item = bool>>(
+    /// On a traced run, starts tracking `update` from every node's
+    /// awareness now, in id order (`aware` is not called untraced).
+    pub fn trace_track<I: Iterator<Item = bool>>(
         &mut self,
         update: UpdateId,
         aware: impl FnOnce() -> I,
     ) {
+        if let Some(trace) = self.trace.as_mut() {
+            trace.awareness.track(update, aware());
+        }
+    }
+
+    /// On a traced run, emits the awareness observation of the round
+    /// just run: `aware` yields every node's awareness of the tracked
+    /// update in id order, paired here with its effective availability
+    /// (only the inline front-end can see it).
+    pub fn trace_probe<I: Iterator<Item = bool>>(&mut self, aware: impl FnOnce() -> I) {
         let Some(mut trace) = self.trace.take() else {
             return;
         };
-        let online = self.online_peers().len() as u32;
-        trace.probe(self.rounds_run - 1, update, aware(), online);
+        let observed = aware()
+            .enumerate()
+            .map(|(i, aware)| (self.effective_online(PeerId::new(i as u32)), aware));
+        let round = self.rounds_run - 1;
+        trace.awareness.probe(&mut trace.tracer, round, observed);
         self.trace = Some(trace);
     }
 

@@ -11,23 +11,24 @@
 //! byte-identical across the virtual-time and sharded front-ends and
 //! across worker counts, even though message interleavings (and
 //! therefore the full trace) are only deterministic in virtual time.
+//!
+//! Update indices, `Initiate`, first-awareness `Aware` and `Probe`
+//! events are recorded into the same buffer by [`AwarenessRecorder`],
+//! the bookkeeping the engine driver uses too, so both paths stamp them
+//! by the same rules.
 
 use crate::fault::FaultEvents;
 use rumor_churn::OnlineSet;
-use rumor_obs::{EventKind, MemTracer, TraceEvent, Tracer, CONDUCTOR};
-use rumor_types::{PeerId, UpdateId};
+use rumor_obs::{AwarenessRecorder, EventKind, MemTracer, TraceEvent, Tracer, CONDUCTOR};
+use rumor_types::PeerId;
 
-/// The conductor's trace state: an event buffer plus the bookkeeping
-/// needed to turn seeded decisions into events (previous availability
-/// for churn transitions, dense per-trace update indices, per-update
-/// awareness snapshots for the probe path).
+/// The conductor's trace state: an event buffer, the previous
+/// availability for churn transitions, and the awareness bookkeeping
+/// that records into the same buffer.
 pub(crate) struct ConductorTrace {
-    tracer: MemTracer,
+    pub tracer: MemTracer,
     prev_online: Vec<bool>,
-    traced_updates: Vec<UpdateId>,
-    /// The update the awareness snapshot belongs to.
-    aware_update: Option<UpdateId>,
-    aware: Vec<bool>,
+    pub awareness: AwarenessRecorder,
 }
 
 impl ConductorTrace {
@@ -39,9 +40,7 @@ impl ConductorTrace {
             prev_online: (0..population)
                 .map(|i| online.is_online(PeerId::new(i as u32)))
                 .collect(),
-            traced_updates: Vec::new(),
-            aware_update: None,
-            aware: vec![false; population],
+            awareness: AwarenessRecorder::default(),
         }
     }
 
@@ -70,77 +69,6 @@ impl ConductorTrace {
         }
     }
 
-    /// Dense per-trace index of `update`, assigned in initiation order.
-    fn update_index(&mut self, update: UpdateId) -> u32 {
-        match self.traced_updates.iter().position(|&u| u == update) {
-            Some(i) => i as u32,
-            None => {
-                self.traced_updates.push(update);
-                (self.traced_updates.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Emits an initiation at `initiator`.
-    pub fn initiate(&mut self, round: u32, initiator: PeerId, update: UpdateId) {
-        let index = self.update_index(update);
-        self.tracer.record(
-            round,
-            initiator.as_u32(),
-            EventKind::Initiate { update: index },
-        );
-    }
-
-    /// Folds one convergence-probe observation (virtual time only, where
-    /// per-node awareness is visible to the front-end): emits `Aware`
-    /// for every node newly aware of `update`, then the probe summary.
-    /// The initiator counts as aware from its `Initiate` event, not a
-    /// duplicate `Aware`.
-    pub fn probe(
-        &mut self,
-        round: u32,
-        update: UpdateId,
-        aware_now: impl Iterator<Item = bool>,
-        online: u32,
-    ) {
-        if self.aware_update != Some(update) {
-            self.aware_update = Some(update);
-            self.aware.iter_mut().for_each(|a| *a = false);
-            if let Some(initiator) = self.initiator_of(update) {
-                self.aware[initiator.index()] = true;
-            }
-        }
-        let index = self.update_index(update);
-        let mut aware_count = 0u32;
-        for (i, now) in aware_now.enumerate() {
-            if now {
-                aware_count += 1;
-                if !self.aware[i] {
-                    self.aware[i] = true;
-                    self.tracer
-                        .record(round, i as u32, EventKind::Aware { update: index });
-                }
-            }
-        }
-        self.tracer.record(
-            round,
-            CONDUCTOR,
-            EventKind::Probe {
-                online,
-                aware: aware_count,
-            },
-        );
-    }
-
-    /// The node whose `Initiate` event carries `update`, if captured.
-    fn initiator_of(&self, update: UpdateId) -> Option<PeerId> {
-        let index = self.traced_updates.iter().position(|&u| u == update)? as u32;
-        self.tracer.events().iter().find_map(|e| match e.kind {
-            EventKind::Initiate { update: u } if u == index => Some(PeerId::new(e.node)),
-            _ => None,
-        })
-    }
-
     /// Drains the captured buffer.
     pub fn take(&mut self) -> Vec<TraceEvent> {
         self.tracer.take()
@@ -151,6 +79,7 @@ impl ConductorTrace {
 mod tests {
     use super::*;
     use rumor_obs::TraceDoc;
+    use rumor_types::UpdateId;
 
     #[test]
     fn churn_transitions_emit_status_once_per_flip() {
@@ -179,10 +108,14 @@ mod tests {
         let online = OnlineSet::all_offline(3);
         let mut trace = ConductorTrace::new(&online, 3);
         let update = UpdateId::from_bits(9);
-        trace.initiate(0, PeerId::new(1), update);
+        let ConductorTrace {
+            tracer, awareness, ..
+        } = &mut trace;
+        awareness.initiate(tracer, 0, 1, update);
+        awareness.track(update, [false, true, false]);
         // Initiator plus node 2 aware: only node 2 gets an Aware event.
-        trace.probe(1, update, [false, true, true].into_iter(), 2);
-        trace.probe(2, update, [true, true, true].into_iter(), 3);
+        awareness.probe(tracer, 1, [(false, false), (true, true), (true, true)]);
+        awareness.probe(tracer, 2, [(true, true), (true, true), (true, true)]);
         let events = trace.take();
         let aware: Vec<_> = events
             .iter()

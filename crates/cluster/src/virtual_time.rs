@@ -176,15 +176,17 @@ where
     /// convergence round) or `max_rounds` elapse. Returns the converged
     /// round if reached.
     pub fn run_until_all_online_aware(&mut self, update: UpdateId, max_rounds: u32) -> Option<u32> {
+        // Only the inline front-end can see per-node awareness, so only
+        // its traces carry `Aware`/`Probe` events (neither is part of
+        // the environment sub-trace contract).
+        let (protocol, cells) = (&self.protocol, &self.shard.cells);
+        let aware = || cells.iter().map(|c| protocol.is_aware(&c.node, update));
+        self.conductor.trace_track(update, aware);
         for _ in 0..max_rounds {
             self.step_probing(Some(update));
-            // Only the inline front-end can see per-node awareness, so
-            // only its traces carry `Aware`/`Probe` events (neither is
-            // part of the environment sub-trace contract).
             let (protocol, cells) = (&self.protocol, &self.shard.cells);
-            self.conductor.trace_probe(update, || {
-                cells.iter().map(|c| protocol.is_aware(&c.node, update))
-            });
+            let aware = || cells.iter().map(|c| protocol.is_aware(&c.node, update));
+            self.conductor.trace_probe(aware);
             if self.conductor.converged_round().is_some() {
                 return self.conductor.converged_round();
             }

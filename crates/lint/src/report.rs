@@ -1,8 +1,8 @@
 //! Findings, the report container, and its two renderings: a human
 //! table and a machine-readable JSON document (`rumor-lint/v1`). The
-//! JSON side is hand-rolled (the lint is dependency-free) and ships a
-//! matching minimal parser so the report round-trips — the fixture
-//! suite and the CI schema check both rely on that.
+//! JSON writer is hand-rolled because the lint is dependency-free; the
+//! workspace's one JSON parser (`rumor_types::json`) reads it back in
+//! the tier-1 gate `tests/arch_lint.rs`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -140,78 +140,6 @@ impl Report {
         out.push_str("}\n");
         out
     }
-
-    /// Parses a `rumor-lint/v1` JSON report back.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax or schema problem.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("top level must be an object")?;
-        let schema = obj
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing schema")?;
-        if schema != SCHEMA {
-            return Err(format!("unexpected schema {schema:?}"));
-        }
-        let get_usize = |key: &str| -> Result<usize, String> {
-            obj.get(key)
-                .and_then(Json::as_usize)
-                .ok_or_else(|| format!("missing {key}"))
-        };
-        let mut report = Report {
-            root: obj
-                .get("root")
-                .and_then(Json::as_str)
-                .ok_or("missing root")?
-                .to_owned(),
-            files_scanned: get_usize("files_scanned")?,
-            manifests_checked: get_usize("manifests_checked")?,
-            ..Report::default()
-        };
-        for item in obj
-            .get("findings")
-            .and_then(Json::as_array)
-            .ok_or("missing findings")?
-        {
-            let o = item.as_object().ok_or("finding must be an object")?;
-            report.findings.push(Finding {
-                rule: field_str(o, "rule")?,
-                file: field_str(o, "file")?,
-                line: o
-                    .get("line")
-                    .and_then(Json::as_usize)
-                    .ok_or("missing line")?,
-                message: field_str(o, "message")?,
-            });
-        }
-        for item in obj
-            .get("suppressed")
-            .and_then(Json::as_array)
-            .ok_or("missing suppressed")?
-        {
-            let o = item.as_object().ok_or("suppression must be an object")?;
-            report.suppressed.push(Suppressed {
-                rule: field_str(o, "rule")?,
-                file: field_str(o, "file")?,
-                line: o
-                    .get("line")
-                    .and_then(Json::as_usize)
-                    .ok_or("missing line")?,
-                reason: field_str(o, "reason")?,
-            });
-        }
-        Ok(report)
-    }
-}
-
-fn field_str(o: &BTreeMap<String, Json>, key: &str) -> Result<String, String> {
-    o.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing {key}"))
 }
 
 /// Escapes a string as a JSON literal.
@@ -233,207 +161,6 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// A minimal JSON value — only what the report round-trip needs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (reports only use non-negative integers).
-    Num(f64),
-    /// String
-    Str(String),
-    /// Array
-    Arr(Vec<Json>),
-    /// Object (sorted keys)
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Self::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_usize(&self) -> Option<usize> {
-        match self {
-            Self::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
-            _ => None,
-        }
-    }
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Self::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Self::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-}
-
-mod json {
-    use super::Json;
-    use std::collections::BTreeMap;
-
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && (b[*pos] as char).is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
-            Some(b'"') => Ok(Json::Str(string(b, pos)?)),
-            Some(b't') => lit(b, pos, "true", Json::Bool(true)),
-            Some(b'f') => lit(b, pos, "false", Json::Bool(false)),
-            Some(b'n') => lit(b, pos, "null", Json::Null),
-            Some(_) => number(b, pos),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn lit(b: &[u8], pos: &mut usize, word: &str, v: Json) -> Result<Json, String> {
-        if b[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {pos}", pos = *pos))
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        *pos += 1; // opening quote
-        let mut out = String::new();
-        while *pos < b.len() {
-            match b[*pos] {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("bad \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                            *pos += 4;
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the full scalar.
-                    let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        *pos += 1;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected , or ] at byte {pos}", pos = *pos)),
-            }
-        }
-    }
-
-    fn object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        *pos += 1;
-        let mut map = BTreeMap::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b'"') {
-                return Err(format!("expected key at byte {pos}", pos = *pos));
-            }
-            let key = string(b, pos)?;
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b':') {
-                return Err(format!("expected : at byte {pos}", pos = *pos));
-            }
-            *pos += 1;
-            map.insert(key, value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("expected , or }} at byte {pos}", pos = *pos)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -458,28 +185,6 @@ mod tests {
                 reason: "trace construction".into(),
             }],
         }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let r = sample();
-        let parsed = Report::from_json(&r.to_json()).unwrap();
-        assert_eq!(parsed, r);
-    }
-
-    #[test]
-    fn empty_report_round_trips() {
-        let r = Report {
-            root: "/tmp/x".into(),
-            ..Report::default()
-        };
-        assert_eq!(Report::from_json(&r.to_json()).unwrap(), r);
-    }
-
-    #[test]
-    fn schema_is_enforced() {
-        let bad = sample().to_json().replace("rumor-lint/v1", "rumor-lint/v0");
-        assert!(Report::from_json(&bad).is_err());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! `crates/types/src/json.rs` declares the JSON value where `single-json`
 //! allows it). The main workspace walker skips directories named
 //! `fixtures`, so these trees never pollute the tier-1 gate in
-//! `tests/arch_lint.rs`.
+//! `tests/arch_lint.rs`. That gate also reads both fixture reports back
+//! through the workspace's JSON parser, which this dependency-free
+//! crate cannot link.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -77,15 +79,6 @@ fn clean_tree_passes_with_one_documented_suppression() {
     assert_eq!(s.rule, "determinism");
     assert_eq!(s.file, "crates/demo/src/lib.rs");
     assert!(s.reason.contains("sanctioned timing site"));
-}
-
-#[test]
-fn fixture_reports_round_trip_through_json() {
-    for name in ["violations", "clean"] {
-        let report = lint(name);
-        let parsed = Report::from_json(&report.to_json()).expect("valid JSON");
-        assert_eq!(parsed, report, "round-trip drift for fixture {name}");
-    }
 }
 
 #[test]

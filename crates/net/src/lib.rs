@@ -26,6 +26,7 @@ mod node;
 mod sink;
 mod stats;
 mod sync_engine;
+mod timer;
 pub mod topology;
 
 pub use link::{BernoulliLoss, LinkFilter, Partition, PerfectLinks};
@@ -33,3 +34,4 @@ pub use node::{Effect, Node};
 pub use sink::EffectSink;
 pub use stats::EngineStats;
 pub use sync_engine::SyncEngine;
+pub use timer::TimerQueue;

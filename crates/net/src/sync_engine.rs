@@ -8,48 +8,22 @@
 //! The engine allocates only at construction: per-peer inboxes are
 //! recycled across rounds (drain in place, capacity retained), node
 //! callbacks write into one reusable [`EffectSink`], the availability
-//! snapshot is updated in place, timers live in a [`BinaryHeap`] keyed by
-//! `(round, seq)`, and quiescence is an O(1) counter check.
+//! snapshot is updated in place, timers live in one [`TimerQueue`] (the
+//! queue `rumor-cluster`'s cells use too), and quiescence is an O(1)
+//! counter check.
 
 use crate::link::LinkFilter;
 use crate::node::{Effect, Node};
 use crate::sink::EffectSink;
 use crate::stats::EngineStats;
+use crate::timer::TimerQueue;
 use rand_chacha::ChaCha8Rng;
 use rumor_churn::OnlineSet;
 use rumor_obs::{EventKind, MsgKind, NopTracer, Tracer, CONDUCTOR};
 use rumor_types::{PeerId, Round};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// In-flight message: `(from, payload)`.
 type Inbox<M> = Vec<(PeerId, M)>;
-
-/// A pending timer, ordered by `(fire, seq)` so that the heap pops due
-/// timers in exactly the order the historical insertion-ordered scan
-/// fired them: all timers due in one round share that round as their
-/// effective fire round, and `seq` is monotone in insertion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TimerEntry {
-    fire: Round,
-    seq: u64,
-    peer: PeerId,
-    tag: u64,
-}
-
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest (fire, seq) pops
-        // first.
-        (other.fire, other.seq).cmp(&(self.fire, self.seq))
-    }
-}
 
 /// Deterministic lock-step engine over a population of [`Node`]s.
 ///
@@ -85,8 +59,7 @@ impl Ord for TimerEntry {
 pub struct SyncEngine<M, T = NopTracer> {
     current: Vec<Inbox<M>>,
     next: Vec<Inbox<M>>,
-    timers: BinaryHeap<TimerEntry>,
-    timer_seq: u64,
+    timers: TimerQueue<(PeerId, u64)>,
     /// Earliest round a newly queued timer may fire: the next timer scan
     /// that could observe it. Preserves the historical insertion-ordered
     /// Vec-scan semantics exactly (including zero-delay timers queued
@@ -113,8 +86,6 @@ pub struct SyncEngine<M, T = NopTracer> {
     sink: EffectSink<M>,
     /// Scratch inbox swapped against each peer slot during delivery.
     delivery_scratch: Inbox<M>,
-    /// Scratch list of due timers, reused across rounds.
-    due_scratch: Vec<(PeerId, u64)>,
 }
 
 impl<M: Clone> SyncEngine<M> {
@@ -131,8 +102,7 @@ impl<M: Clone, T: Tracer> SyncEngine<M, T> {
         Self {
             current: (0..n).map(|_| Vec::new()).collect(),
             next: (0..n).map(|_| Vec::new()).collect(),
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
+            timers: TimerQueue::default(),
             timer_barrier: Round::ZERO,
             round: Round::ZERO,
             prev_online: Vec::with_capacity(n),
@@ -145,7 +115,6 @@ impl<M: Clone, T: Tracer> SyncEngine<M, T> {
             tracer,
             sink: EffectSink::new(),
             delivery_scratch: Vec::new(),
-            due_scratch: Vec::new(),
         }
     }
 
@@ -259,17 +228,8 @@ impl<M: Clone, T: Tracer> SyncEngine<M, T> {
                 }
             }
             Effect::Timer { delay, tag } => {
-                // A delay beyond the round counter's range never fires.
-                let delay = u32::try_from(delay).unwrap_or(u32::MAX);
-                let fire =
-                    Round::new(self.round.as_u32().saturating_add(delay)).max(self.timer_barrier);
-                self.timer_seq += 1;
-                self.timers.push(TimerEntry {
-                    fire,
-                    seq: self.timer_seq,
-                    peer: from,
-                    tag,
-                });
+                self.timers
+                    .arm(self.round, delay, self.timer_barrier, (from, tag));
             }
         }
     }
@@ -344,20 +304,11 @@ impl<M: Clone, T: Tracer> SyncEngine<M, T> {
             }
         }
 
-        // 3. Due timers, in scheduling order. Collect the whole due set
-        //    before firing so timers queued by `on_timer` itself wait for
-        //    the next round, exactly as under the historical Vec scan.
-        let mut due = std::mem::take(&mut self.due_scratch);
-        due.clear();
-        while let Some(head) = self.timers.peek() {
-            if head.fire > round {
-                break;
-            }
-            let entry = self.timers.pop().expect("peeked");
-            due.push((entry.peer, entry.tag));
-        }
+        // 3. Due timers, in scheduling order. The barrier moves first,
+        //    so timers queued by `on_timer` itself wait for the next
+        //    round, exactly as under the historical Vec scan.
         self.timer_barrier = round.next();
-        for &(peer, tag) in &due {
+        while let Some((_, (peer, tag))) = self.timers.pop_due(round) {
             if online.is_online(peer) {
                 if self.tracer.is_enabled() {
                     self.tracer
@@ -367,7 +318,6 @@ impl<M: Clone, T: Tracer> SyncEngine<M, T> {
                 self.apply_sink(peer, &mut sink, false);
             }
         }
-        self.due_scratch = due;
 
         // 4. Deliver the current inboxes, draining each in place so its
         //    buffer is reused next round. Indexed loop: the body needs

@@ -48,11 +48,13 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+mod awareness;
 mod event;
 mod timeline;
 mod trace;
 mod tracer;
 
+pub use awareness::AwarenessRecorder;
 pub use event::{EventKind, MsgKind, TraceEvent, CONDUCTOR};
 pub use timeline::render_timeline;
 pub use trace::{TraceDoc, TRACE_SCHEMA};

@@ -25,7 +25,7 @@ use rumor_churn::{Churn, OnlineSet};
 use rumor_core::{QueryAnswer, QueryPolicy, ReplicaPeer, Value};
 use rumor_metrics::ConvergenceDetector;
 use rumor_net::{EffectSink, EngineStats, LinkFilter, Node, SyncEngine};
-use rumor_obs::{EventKind, MsgKind, NopTracer, Tracer, CONDUCTOR};
+use rumor_obs::{AwarenessRecorder, MsgKind, NopTracer, Tracer};
 use rumor_types::{DataKey, PeerId, Round, UpdateId};
 
 /// A pure function returning a message's encoded wire-frame size —
@@ -241,9 +241,9 @@ pub struct Driver<N: Node, T = NopTracer> {
     rounds_run: u32,
     /// Scratch sink for out-of-round effect injection (initiations).
     sink: EffectSink<N::Msg>,
-    /// Dense per-trace update indices, in initiation order; populated
-    /// only while a tracer is enabled.
-    traced_updates: Vec<UpdateId>,
+    /// Trace bookkeeping for `Initiate` / `Aware` / `Probe` events;
+    /// used only while a tracer is enabled.
+    awareness: AwarenessRecorder,
 }
 
 impl<N: Node, T> std::fmt::Debug for Driver<N, T> {
@@ -313,7 +313,7 @@ impl<N: Node, T: Tracer> Driver<N, T> {
             initial_online,
             rounds_run: 0,
             sink: EffectSink::new(),
-            traced_updates: Vec::new(),
+            awareness: AwarenessRecorder::default(),
         }
     }
 
@@ -331,18 +331,6 @@ impl<N: Node, T: Tracer> Driver<N, T> {
     /// Consumes the driver, returning the tracer with its capture.
     pub fn into_tracer(self) -> T {
         self.engine.into_tracer()
-    }
-
-    /// The dense trace index of `update`, assigning the next one on
-    /// first sight (indices follow initiation order).
-    fn trace_update_index(&mut self, update: UpdateId) -> u32 {
-        match self.traced_updates.iter().position(|&u| u == update) {
-            Some(i) => i as u32,
-            None => {
-                self.traced_updates.push(update);
-                (self.traced_updates.len() - 1) as u32
-            }
-        }
     }
 
     /// Total population size `R`.
@@ -501,12 +489,9 @@ impl<N: Node, T: Tracer> Driver<N, T> {
             &mut sink,
         );
         if self.engine.tracer().is_enabled() {
-            let index = self.trace_update_index(update);
-            self.engine.tracer_mut().record(
-                round.as_u32(),
-                id.as_u32(),
-                EventKind::Initiate { update: index },
-            );
+            let tracer = self.engine.tracer_mut();
+            self.awareness
+                .initiate(tracer, round.as_u32(), id.as_u32(), update);
         }
         self.engine.inject(id, sink.drain());
         self.sink = sink;
@@ -613,20 +598,12 @@ impl<N: Node, T: Tracer> Driver<N, T> {
         let c = self.convergence;
         let mut detector = ConvergenceDetector::new(c.epsilon, c.patience, c.target);
         let start_round = self.rounds_run;
-        // Per-node awareness snapshot for first-awareness trace events;
-        // nodes already aware before tracking (the initiator) emit no
-        // `Aware` event — their `Initiate` marks them.
+        // First-awareness trace events start from the awareness at
+        // tracking start: the initiator is marked by its `Initiate`.
         let tracing = self.engine.tracer().is_enabled();
-        let mut aware_snapshot = vec![false; if tracing { self.nodes.len() } else { 0 }];
-        let trace_index = if tracing {
-            Some(self.trace_update_index(update))
-        } else {
-            None
-        };
         if tracing {
-            for (i, node) in self.nodes.iter().enumerate() {
-                aware_snapshot[i] = protocol.is_aware(node, update);
-            }
+            let aware = self.nodes.iter().map(|n| protocol.is_aware(n, update));
+            self.awareness.track(update, aware);
         }
         while self.rounds_run - start_round < max_rounds {
             if self.engine.is_quiescent() && self.rounds_run > start_round {
@@ -634,26 +611,14 @@ impl<N: Node, T: Tracer> Driver<N, T> {
             }
             self.step();
             let obs = self.observe(protocol, update);
-            if let Some(index) = trace_index {
-                let executed = self.rounds_run - 1;
-                for (i, aware) in aware_snapshot.iter_mut().enumerate() {
-                    if !*aware && protocol.is_aware(&self.nodes[i], update) {
-                        *aware = true;
-                        self.engine.tracer_mut().record(
-                            executed,
-                            i as u32,
-                            EventKind::Aware { update: index },
-                        );
-                    }
-                }
-                self.engine.tracer_mut().record(
-                    executed,
-                    CONDUCTOR,
-                    EventKind::Probe {
-                        online: obs.online as u32,
-                        aware: obs.aware_online as u32,
-                    },
-                );
+            if tracing {
+                let (nodes, online) = (&self.nodes, &self.online);
+                let observed = nodes.iter().enumerate().map(|(i, n)| {
+                    let peer = PeerId::new(i as u32);
+                    (online.is_online(peer), protocol.is_aware(n, update))
+                });
+                let tracer = self.engine.tracer_mut();
+                self.awareness.probe(tracer, self.rounds_run - 1, observed);
             }
             let f_aware = obs.f_aware;
             per_round.push(obs);

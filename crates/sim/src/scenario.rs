@@ -159,10 +159,8 @@ impl Scenario {
     }
 
     /// The scenario's topology draw: each peer's known-replica row (self
-    /// excluded). Deterministic per scenario — every call (and every
-    /// runtime mounting the scenario, driver or live cluster) sees the
-    /// identical knowledge graph.
-    pub fn adjacency(&self) -> Vec<Vec<PeerId>> {
+    /// excluded). Deterministic per scenario.
+    fn adjacency(&self) -> Vec<Vec<PeerId>> {
         let mut topo_rng = ChaCha8Rng::seed_from_u64(derive_seed(self.seed, "topology"));
         match self.topology {
             TopologySpec::Full => topology::full(self.population),
@@ -170,6 +168,24 @@ impl Scenario {
                 topology::random_subsets(self.population, k, &mut topo_rng)
             }
         }
+    }
+
+    /// Spawns the population through `protocol`, in id order, each peer
+    /// with its topology row and its availability in `online` (the
+    /// round-0 [`Scenario::initial_online_set`]). The one mount of every
+    /// runtime, driver and live cluster, so all see one knowledge graph.
+    pub fn spawn<'a, P: Protocol>(
+        &'a self,
+        protocol: &'a P,
+        online: &'a OnlineSet,
+    ) -> impl Iterator<Item = (PeerId, P::Node)> + 'a {
+        self.adjacency()
+            .into_iter()
+            .enumerate()
+            .map(move |(i, known)| {
+                let id = PeerId::new(i as u32);
+                (id, protocol.spawn(id, known, online.is_online(id)))
+            })
     }
 
     /// The round-0 availability state.
@@ -205,17 +221,7 @@ impl Scenario {
     /// Mounts `protocol` into the scenario, producing a ready-to-run
     /// [`Driver`]. Every call replays identical environment randomness.
     pub fn drive<P: Protocol>(&self, protocol: &P) -> Driver<P::Node> {
-        self.drive_with_churn(protocol, (self.churn)())
-    }
-
-    /// Like [`Scenario::drive`] but with an explicit (possibly
-    /// non-cloneable) churn instance for this one mount.
-    pub fn drive_with_churn<P: Protocol>(
-        &self,
-        protocol: &P,
-        churn: Box<dyn Churn>,
-    ) -> Driver<P::Node> {
-        self.drive_traced_with_churn(protocol, churn, NopTracer)
+        self.drive_traced(protocol, NopTracer)
     }
 
     /// Like [`Scenario::drive`] but capturing structured trace events
@@ -226,27 +232,15 @@ impl Scenario {
         protocol: &P,
         tracer: T,
     ) -> Driver<P::Node, T> {
-        self.drive_traced_with_churn(protocol, (self.churn)(), tracer)
-    }
-
-    /// The fully general mount: explicit churn instance and tracer.
-    pub fn drive_traced_with_churn<P: Protocol, T: Tracer>(
-        &self,
-        protocol: &P,
-        churn: Box<dyn Churn>,
-        tracer: T,
-    ) -> Driver<P::Node, T> {
-        let adjacency = self.adjacency();
         let online = self.initial_online_set();
-        let mut nodes = Vec::with_capacity(self.population);
-        for (i, known) in adjacency.into_iter().enumerate() {
-            let id = PeerId::new(i as u32);
-            nodes.push(protocol.spawn(id, known, online.is_online(id)));
-        }
+        let nodes = self
+            .spawn(protocol, &online)
+            .map(|(_, node)| node)
+            .collect();
         let mut driver = Driver::assemble_traced(
             nodes,
             online,
-            churn,
+            self.make_churn(),
             self.link_filter(),
             ChaCha8Rng::seed_from_u64(derive_seed(self.seed, "protocol")),
             ChaCha8Rng::seed_from_u64(derive_seed(self.seed, "churn")),
@@ -344,13 +338,6 @@ impl ScenarioBuilder {
     /// same churn trajectory.
     pub fn churn(mut self, churn: impl Churn + Clone + 'static) -> Self {
         self.churn = Box::new(move || Box::new(churn.clone()));
-        self
-    }
-
-    /// Installs an availability model from a factory, for churn types
-    /// that cannot be cloned.
-    pub fn churn_with(mut self, factory: impl Fn() -> Box<dyn Churn> + 'static) -> Self {
-        self.churn = Box::new(factory);
         self
     }
 

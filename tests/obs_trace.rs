@@ -20,7 +20,7 @@ use rand_chacha::ChaCha8Rng;
 use rumor::churn::{Churn, MarkovChurn, OnlineSet};
 use rumor::cluster::{ByzantineBehaviour, ByzantineSpec, ClusterBuilder, FaultSpec};
 use rumor::core::{ProtocolConfig, PullStrategy};
-use rumor::obs::{MemTracer, TraceDoc, TRACE_SCHEMA};
+use rumor::obs::{EventKind, MemTracer, TraceDoc, TRACE_SCHEMA};
 use rumor::sim::{PaperProtocol, Scenario, UpdateEvent};
 use rumor::types::DataKey;
 
@@ -258,6 +258,63 @@ fn mounting_a_tracer_reproduces_the_engine_parity_signature() {
     );
     let events = driver.tracer_mut().take();
     assert!(!events.is_empty(), "the tracer captured nothing");
+}
+
+#[test]
+fn probes_count_only_online_aware_nodes_on_both_paths() {
+    // `Probe.aware` counts the nodes both online and aware. Under this
+    // churn, nodes that learned the update go offline while still
+    // aware, so a probe that counted every aware node would report
+    // more aware nodes than online ones. Both execution paths fold
+    // their probes through the same recorder and must agree on this.
+    let scenario = Scenario::builder(40, 77)
+        .online_fraction(0.75)
+        .churn(MarkovChurn::new(0.9, 0.3).expect("valid churn"))
+        .build()
+        .expect("valid scenario");
+    let protocol = || {
+        PaperProtocol::new(
+            ProtocolConfig::builder(40)
+                .fanout_absolute(4)
+                .pull_strategy(PullStrategy::Eager)
+                .staleness_rounds(6)
+                .build()
+                .expect("valid config"),
+        )
+    };
+
+    let mut cluster = ClusterBuilder::new(&scenario)
+        .traced()
+        .virtual_time(protocol());
+    let update = cluster.initiate(&event("probed")).expect("someone online");
+    cluster.run_until_all_online_aware(update, 10);
+    let clustered = cluster.take_trace("cluster").expect("cluster was traced");
+
+    let protocol = protocol();
+    let mut driver = scenario.drive_traced(&protocol, MemTracer::new());
+    let update = driver
+        .initiate(&protocol, None, &event("probed"))
+        .expect("someone online");
+    driver.track_update(&protocol, update, 40);
+    let driven = driver.tracer_mut().take();
+
+    for (path, events) in [("cluster", clustered.events), ("driver", driven)] {
+        let probes: Vec<(u32, u32, u32)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Probe { online, aware } => Some((e.round, online, aware)),
+                _ => None,
+            })
+            .collect();
+        assert!(!probes.is_empty(), "{path}: no probe captured");
+        let over: Vec<_> = probes.iter().filter(|p| p.2 > p.1).collect();
+        assert!(
+            over.is_empty(),
+            "{path}: {} of {} probes (round, online, aware) count offline aware nodes: {over:?}",
+            over.len(),
+            probes.len()
+        );
+    }
 }
 
 fn parity_event() -> UpdateEvent {
