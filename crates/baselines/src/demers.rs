@@ -13,6 +13,7 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use rumor_net::{EffectSink, Node};
 use rumor_types::{PeerId, Round, UpdateId};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Messages of the Demers baselines.
@@ -20,7 +21,9 @@ use std::collections::{BTreeMap, BTreeSet};
 pub enum DemersMsg {
     /// Anti-entropy request carrying the sender's rumor set.
     Digest {
-        /// Rumors the sender knows.
+        /// Rumors the sender knows (a request) or the receiver lacks (a
+        /// reply). [`AntiEntropyNode`] sends them strictly ascending and
+        /// accepts any order, duplicates included, on receipt.
         known: Vec<UpdateId>,
         /// Whether the receiver should answer (pull) — push-pull sets it.
         reply: bool,
@@ -42,11 +45,17 @@ pub enum DemersMsg {
 /// Anti-entropy (§7.2 / Demers): every round each online node exchanges
 /// its rumor set with one random partner; with `push_pull` the partner
 /// also learns the initiator's rumors.
+///
+/// The rumor set is one strictly ascending array. A digest carries a copy
+/// of it, so every digest a node sends is strictly ascending; a received
+/// digest in any other order (a wire peer, a fuzz case) is sorted and
+/// deduplicated first, and then reconciled in one merge pass.
 #[derive(Debug, Clone)]
 pub struct AntiEntropyNode {
     id: PeerId,
     peers: Vec<PeerId>,
-    rumors: BTreeSet<UpdateId>,
+    /// Known rumors, strictly ascending.
+    rumors: Vec<UpdateId>,
     push_pull: bool,
 }
 
@@ -56,7 +65,7 @@ impl AntiEntropyNode {
         Self {
             id: PeerId::new(id),
             peers,
-            rumors: BTreeSet::new(),
+            rumors: Vec::new(),
             push_pull,
         }
     }
@@ -72,13 +81,58 @@ impl AntiEntropyNode {
 
     /// Whether the node knows the rumor.
     pub fn knows(&self, rumor: UpdateId) -> bool {
-        self.rumors.contains(&rumor)
+        self.rumors.binary_search(&rumor).is_ok()
     }
 
     /// Seeds a rumor locally (no immediate sends — anti-entropy spreads
     /// via the per-round exchanges).
     pub fn seed_rumor(&mut self, rumor: UpdateId) {
-        self.rumors.insert(rumor);
+        if let Err(at) = self.rumors.binary_search(&rumor) {
+            self.rumors.insert(at, rumor);
+        }
+    }
+
+    /// One merge pass over our rumors and `theirs` (strictly ascending):
+    /// returns the rumors only we hold, in ascending order, when `collect`
+    /// is set, and absorbs the rumors only they hold when `absorb` is set.
+    /// The set grows only when `theirs` holds something new.
+    fn reconcile(&mut self, theirs: &[UpdateId], collect: bool, absorb: bool) -> Vec<UpdateId> {
+        let ours = &self.rumors;
+        let mut missing = Vec::new();
+        // `ours ∪ theirs`, opened at the first id only they hold.
+        let mut union: Option<Vec<UpdateId>> = None;
+        let (mut i, mut j) = (0, 0);
+        while i < ours.len() || j < theirs.len() {
+            let order = match (ours.get(i), theirs.get(j)) {
+                (Some(a), Some(b)) => a.cmp(b),
+                (Some(_), None) => Ordering::Less,
+                (None, _) => Ordering::Greater,
+            };
+            if order == Ordering::Greater {
+                if absorb {
+                    let open = || {
+                        let mut union = Vec::with_capacity(ours.len() + theirs.len() - j);
+                        union.extend_from_slice(&ours[..i]);
+                        union
+                    };
+                    union.get_or_insert_with(open).push(theirs[j]);
+                }
+                j += 1;
+            } else {
+                if order == Ordering::Less && collect {
+                    missing.push(ours[i]);
+                }
+                if let Some(union) = &mut union {
+                    union.push(ours[i]);
+                }
+                i += 1;
+                j += usize::from(order == Ordering::Equal);
+            }
+        }
+        if let Some(union) = union {
+            self.rumors = union;
+        }
+        missing
     }
 }
 
@@ -101,7 +155,7 @@ impl Node for AntiEntropyNode {
         out.send(
             partner,
             DemersMsg::Digest {
-                known: self.rumors.iter().copied().collect(),
+                known: self.rumors.clone(),
                 reply: true,
             },
         );
@@ -116,30 +170,25 @@ impl Node for AntiEntropyNode {
         out: &mut EffectSink<DemersMsg>,
     ) {
         match msg {
-            DemersMsg::Digest { known, reply } => {
-                let their: BTreeSet<UpdateId> = known.iter().copied().collect();
+            DemersMsg::Digest { mut known, reply } => {
+                // Our own digests are strictly ascending; anything else is
+                // brought to set form before the merge.
+                if !known.is_sorted_by(|a, b| a < b) {
+                    known.sort_unstable();
+                    known.dedup();
+                }
                 // A response (reply == false) carries the rumors we asked
                 // for — always absorb it. A request is absorbed only in
                 // push-pull mode.
-                if self.push_pull || !reply {
-                    self.rumors.extend(their.iter().copied());
-                }
-                if reply {
-                    let missing: Vec<UpdateId> = self
-                        .rumors
-                        .iter()
-                        .copied()
-                        .filter(|r| !their.contains(r))
-                        .collect();
-                    if !missing.is_empty() || self.push_pull {
-                        out.send(
-                            from,
-                            DemersMsg::Digest {
-                                known: missing,
-                                reply: false,
-                            },
-                        );
-                    }
+                let missing = self.reconcile(&known, reply, self.push_pull || !reply);
+                if reply && (!missing.is_empty() || self.push_pull) {
+                    out.send(
+                        from,
+                        DemersMsg::Digest {
+                            known: missing,
+                            reply: false,
+                        },
+                    );
                 }
             }
             DemersMsg::Rumor { .. } | DemersMsg::Feedback { .. } => {}
@@ -317,6 +366,7 @@ impl Node for RumorMongerNode {
 mod tests {
     use super::*;
     use crate::runner::driver;
+    use rand::SeedableRng;
     use rumor_net::Effect;
 
     fn rumor() -> UpdateId {
@@ -354,6 +404,132 @@ mod tests {
             run(true) <= run(false),
             "push-pull cannot be slower than pull-only"
         );
+    }
+
+    /// Today's set semantics, kept as the reference for the merge: the
+    /// digest rebuilt into a tree, absorbed by per-id inserts, and the
+    /// reply filtered out of our own tree.
+    struct SetModel {
+        rumors: BTreeSet<UpdateId>,
+        push_pull: bool,
+    }
+
+    impl SetModel {
+        fn on_digest(&mut self, known: &[UpdateId], reply: bool) -> Option<Vec<UpdateId>> {
+            let their: BTreeSet<UpdateId> = known.iter().copied().collect();
+            if self.push_pull || !reply {
+                self.rumors.extend(their.iter().copied());
+            }
+            if !reply {
+                return None;
+            }
+            let missing: Vec<UpdateId> = self.rumors.difference(&their).copied().collect();
+            (!missing.is_empty() || self.push_pull).then_some(missing)
+        }
+    }
+
+    /// The `(recipient, ids, reply)` of every digest sent.
+    fn digests(out: &EffectSink<DemersMsg>) -> Vec<(PeerId, Vec<UpdateId>, bool)> {
+        out.iter()
+            .map(|effect| match effect {
+                Effect::Send {
+                    to,
+                    msg: DemersMsg::Digest { known, reply },
+                } => (*to, known.clone(), *reply),
+                other => panic!("anti-entropy sent {other:?}"),
+            })
+            .collect()
+    }
+
+    /// A digest's `(known, reply)` over ids below 48 drawn from `seed`:
+    /// strictly ascending, unsorted, with duplicates, or empty.
+    fn arbitrary_digest(seed: u64) -> (Vec<UpdateId>, bool) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let len = rng.gen_range(0..16);
+        let mut known: Vec<UpdateId> = (0..len)
+            .map(|_| UpdateId::from_bits(rng.gen_range(0u64..48).into()))
+            .collect();
+        match rng.gen_range(0..4) {
+            0 => {
+                known.sort_unstable();
+                known.dedup();
+            }
+            1 => {
+                known.sort_unstable();
+                known.dedup();
+                known.shuffle(&mut rng);
+            }
+            2 => {
+                let again = known.clone();
+                known.extend(again);
+                known.shuffle(&mut rng);
+            }
+            _ => known.clear(),
+        }
+        (known, rng.gen())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn digest_merge_matches_the_set_model(
+            push_pull in proptest::prelude::any::<bool>(),
+            seeded in proptest::collection::vec(0u64..48, 0..12),
+            steps in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..24),
+        ) {
+            let mut node = AntiEntropyNode::fully_connected(0, 8, push_pull);
+            let mut model = SetModel { rumors: BTreeSet::new(), push_pull };
+            for &bits in &seeded {
+                node.seed_rumor(UpdateId::from_bits(bits.into()));
+                model.rumors.insert(UpdateId::from_bits(bits.into()));
+            }
+            let from = PeerId::new(3);
+            for (step, &seed) in steps.iter().enumerate() {
+                let (known, reply) = arbitrary_digest(seed);
+                let expected: Vec<(PeerId, Vec<UpdateId>, bool)> = model
+                    .on_digest(&known, reply)
+                    .map(|missing| (from, missing, false))
+                    .into_iter()
+                    .collect();
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut out = EffectSink::new();
+                let msg = DemersMsg::Digest { known, reply };
+                node.on_message(from, msg, Round::ZERO, &mut rng, &mut out);
+                proptest::prop_assert_eq!(digests(&out), expected, "step {}", step);
+                for bits in 0..48 {
+                    let id = UpdateId::from_bits(bits);
+                    proptest::prop_assert_eq!(node.knows(id), model.rumors.contains(&id));
+                }
+                // The round's own digest: the whole set, ascending.
+                let mut out = EffectSink::new();
+                node.on_round_start(Round::ZERO, &mut rng, &mut out);
+                let [(_, known, true)] = &digests(&out)[..] else {
+                    panic!("one request per round")
+                };
+                proptest::prop_assert!(known.iter().eq(model.rumors.iter()));
+            }
+        }
+    }
+
+    #[test]
+    fn unsorted_duplicated_digest_gets_the_reply_of_its_set_form() {
+        let ids = |bits: &[u128]| -> Vec<UpdateId> {
+            bits.iter().map(|&b| UpdateId::from_bits(b)).collect()
+        };
+        let reply_to = |known: Vec<UpdateId>| {
+            let mut node = AntiEntropyNode::fully_connected(0, 4, true);
+            for rumor in ids(&[2, 5, 9, 40]) {
+                node.seed_rumor(rumor);
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(1);
+            let mut out = EffectSink::new();
+            let msg = DemersMsg::Digest { known, reply: true };
+            node.on_message(PeerId::new(1), msg, Round::ZERO, &mut rng, &mut out);
+            (digests(&out), node.rumors)
+        };
+        let unsorted = reply_to(ids(&[9, 7, 2, 9, 7, 1, 2]));
+        assert_eq!(unsorted, reply_to(ids(&[1, 2, 7, 9])));
+        assert_eq!(unsorted.0, [(PeerId::new(1), ids(&[5, 40]), false)]);
+        assert_eq!(unsorted.1, ids(&[1, 2, 5, 7, 9, 40]));
     }
 
     #[test]

@@ -146,12 +146,15 @@ impl ReplicaPeer {
         new
     }
 
-    /// [`ReplicaPeer::learn_replicas`] over a flood list; a list naming
-    /// only familiar peers — nearly every one once membership has spread —
-    /// is dismissed without walking its entries.
+    /// [`ReplicaPeer::learn_replicas`] over a flood list, as one word-wise
+    /// union with the list's member set: linear in the words of both,
+    /// whatever order the list names its peers in. A list naming only
+    /// familiar peers — nearly every one once membership has spread — is
+    /// dismissed without walking its entries.
     fn learn_flood_list(&mut self, list: &PartialList) {
         if !list.members().is_subset(&self.familiar) {
-            self.learn_replicas(list.iter());
+            let new = self.familiar.union_with(list.members());
+            self.stats.replicas_discovered += new as u64;
         }
     }
 
@@ -1680,6 +1683,33 @@ mod tests {
         assert_eq!(p.learn_replicas([PeerId::new(0), PeerId::new(9_999)]), 0);
         assert_eq!(p.familiar.word_count(), 10_001usize.div_ceil(64));
         assert_eq!(p.stats().replicas_discovered, 10_000);
+    }
+
+    #[test]
+    fn push_listing_sparse_ids_in_descending_order_discovers_exactly_them() {
+        let mut p = peer_with(10, 0.2);
+        let mut r = rng();
+        let update = Update::write(
+            DataKey::new(3),
+            Lineage::root(&mut r),
+            Value::from("v"),
+            PeerId::new(4),
+        );
+        // One new word per id, highest first, behind two familiar ids.
+        let sparse: Vec<u32> = (1..=2_000u32).rev().map(|i| i << 12).collect();
+        let list = sparse.iter().copied().chain([5, 0]);
+        let mut out = sink();
+        p.on_message(
+            PeerId::new(4),
+            push_msg(&update, 1, list),
+            Round::new(1),
+            &mut r,
+            &mut out,
+        );
+        assert_eq!(p.stats().replicas_discovered, 9 + 2_000);
+        let known: Vec<u32> = p.known_replicas().map(PeerId::as_u32).collect();
+        let expected: Vec<u32> = (1..10).chain(sparse.into_iter().rev()).collect();
+        assert_eq!(known, expected);
     }
 
     #[test]

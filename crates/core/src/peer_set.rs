@@ -104,6 +104,52 @@ impl PeerSet {
         staged.truncate(kept);
     }
 
+    /// Adds every member of `other`, whatever order its ids arrived in,
+    /// with two linear walks of the ascending word arrays; returns how many
+    /// members were new (one popcount per word). The first walk merges the
+    /// words both sets hold in place; only when `other` holds words we lack
+    /// does the second open them, merging from the back so each stored
+    /// word moves at most once.
+    pub(crate) fn union_with(&mut self, other: &PeerSet) -> usize {
+        let (mut new, mut opened) = (0, 0);
+        let mut at = 0;
+        for &(number, bits) in &other.words {
+            while self.words.get(at).is_some_and(|&(found, _)| found < number) {
+                at += 1;
+            }
+            match self.words.get_mut(at) {
+                Some((found, ours)) if *found == number => {
+                    new += (bits & !*ours).count_ones() as usize;
+                    *ours |= bits;
+                }
+                _ => {
+                    new += bits.count_ones() as usize;
+                    opened += 1;
+                }
+            }
+        }
+        if opened == 0 {
+            return new;
+        }
+        // `read` walks our old words down, `write` the grown array: the gap
+        // between them is the number of words still to open.
+        let mut read = self.words.len();
+        self.words.resize(read + opened, (0, 0));
+        let mut write = self.words.len();
+        for &(number, bits) in other.words.iter().rev() {
+            while read > 0 && self.words[read - 1].0 > number {
+                read -= 1;
+                write -= 1;
+                self.words[write] = self.words[read];
+            }
+            if read == 0 || self.words[read - 1].0 != number {
+                write -= 1;
+                self.words[write] = (number, bits);
+            }
+        }
+        new
+    }
+
     /// Whether every member is also a member of `other`: one compare per
     /// stored word.
     pub(crate) fn is_subset(&self, other: &PeerSet) -> bool {
@@ -280,6 +326,34 @@ mod tests {
                 });
                 assert_eq!(tail, expected, "resumed after {taken}");
             }
+        }
+    }
+
+    #[test]
+    fn union_equals_per_id_inserts() {
+        let top_word = 0xFFFF_FFC0..=u32::MAX;
+        let cases: [(Vec<u32>, Vec<u32>); 6] = [
+            ((0..300).collect(), (200..700).collect()),
+            (vec![], (0..130).chain(top_word.clone()).collect()),
+            ((0..64).collect(), vec![]),
+            // Sparse, arriving in descending order: one word per id.
+            (
+                (0..50).map(|i| i * 4_099).collect(),
+                (0..1_000).rev().map(|i| i << 12).collect(),
+            ),
+            (top_word.clone().step_by(3).collect(), top_word.collect()),
+            (vec![63, 64, u32::MAX], vec![u32::MAX, 65, 64, 0]),
+        ];
+        for (base, added) in cases {
+            let mut by_insert = set(base.iter().copied());
+            let inserted = added
+                .iter()
+                .filter(|&&id| by_insert.insert(PeerId::new(id)))
+                .count();
+            let mut by_union = set(base.iter().copied());
+            assert_eq!(by_union.union_with(&set(added.iter().copied())), inserted);
+            assert_eq!(by_union, by_insert, "{base:?} ∪ {added:?}");
+            assert_eq!(by_union.union_with(&set(added)), 0, "idempotent");
         }
     }
 

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rumor::baselines::{DemersMsg, FloodMsg};
+use rumor::baselines::{DemersMsg, FloodMsg, KIND_DEMERS_DIGEST};
 use rumor::core::{Lineage, Message, PartialList, PushMessage, StoreDigest, Update, Value};
 use rumor::types::{DataKey, PeerId, UpdateId, VersionId};
 use rumor::wire::{
@@ -58,6 +58,15 @@ fn reference_pull_request_digest(mut body: &[u8]) -> Option<StoreDigest> {
     body.is_empty().then_some(digest)
 }
 
+/// A well-formed v1 header in front of `body`, whatever the body holds.
+fn frame_with_body(kind: u8, body: &[u8]) -> Vec<u8> {
+    let header = Frame::new(kind, body.len());
+    let mut frame = vec![header.version, header.kind];
+    frame.extend_from_slice(&header.payload_len.to_be_bytes());
+    frame.extend_from_slice(body);
+    frame
+}
+
 fn roundtrip(msg: &Message) {
     let frame = encode_frame(msg);
     assert_eq!(frame.len(), frame_len(msg), "sizer must be exact");
@@ -97,10 +106,7 @@ proptest! {
         if count_skew == 1 {
             body.truncate(keep.min(body.len()));
         }
-        let header = Frame::new(KIND_PULL_REQUEST, body.len());
-        let mut frame = vec![header.version, header.kind];
-        frame.extend_from_slice(&header.payload_len.to_be_bytes());
-        frame.extend_from_slice(&body);
+        let frame = frame_with_body(KIND_PULL_REQUEST, &body);
 
         // Never a panic; a typed error exactly where the insert loop
         // failed, the insert loop's digest otherwise.
@@ -201,6 +207,65 @@ proptest! {
         let frame = encode_frame(&msg);
         prop_assert_eq!(frame.len(), frame_len(&msg));
         prop_assert_eq!(decode_frame::<DemersMsg>(&frame).unwrap(), msg);
+    }
+
+    #[test]
+    fn demers_and_flood_decode_is_total_over_arbitrary_bodies(
+        // The body's layout: digest, rumor, feedback or flood.
+        layout in 0u8..4,
+        // A valid flag byte, or a bad one.
+        flag in 0u8..3,
+        ids in proptest::collection::vec(any::<u128>(), 0..6),
+        // The digest's stated id count: honest, off by one, or absurd.
+        count_skew in proptest::sample::select(vec![0i64, 0, 0, 1, -1, 70_000, i64::from(u32::MAX)]),
+        hops in any::<u64>(),
+        // Arbitrary bytes spliced over the body, and a cut somewhere in
+        // it; both miss a short body often enough that it stays intact.
+        noise in proptest::collection::vec(any::<u8>(), 0..24),
+        noise_at in 0usize..400,
+        keep in 0usize..400,
+    ) {
+        let first = ids.first().copied().unwrap_or_default().to_be_bytes();
+        let mut body = Vec::new();
+        match layout {
+            0 => {
+                let stated = (ids.len() as i64 + count_skew).clamp(0, i64::from(u32::MAX)) as u32;
+                body.push(flag);
+                body.extend_from_slice(&stated.to_be_bytes());
+                for id in &ids {
+                    body.extend_from_slice(&id.to_be_bytes());
+                }
+            }
+            1 => body.extend_from_slice(&first),
+            2 => {
+                body.extend_from_slice(&first);
+                body.push(flag);
+            }
+            // Rumor, ttl, hops.
+            _ => {
+                body.extend_from_slice(&first);
+                body.extend_from_slice(&hops.to_be_bytes());
+            }
+        }
+        for (i, byte) in noise.iter().enumerate() {
+            if let Some(slot) = body.get_mut(noise_at + i) {
+                *slot = *byte;
+            }
+        }
+        body.truncate(keep);
+
+        // Under every Demers kind (digest = flood rumor, rumor, feedback)
+        // and two unknown ones, read as both families: never a panic, and
+        // whatever decodes is the canonical encoding of what it decoded to.
+        for kind in 0..5 {
+            let frame = frame_with_body(kind, &body);
+            if let Ok(msg) = decode_frame::<DemersMsg>(&frame) {
+                prop_assert_eq!(&encode_frame(&msg)[..], &frame[..]);
+            }
+            if let Ok(msg) = decode_frame::<FloodMsg>(&frame) {
+                prop_assert_eq!(&encode_frame(&msg)[..], &frame[..]);
+            }
+        }
     }
 
     #[test]
@@ -364,6 +429,25 @@ fn truncated_headers_and_padded_frames_are_rejected() {
         decode_frame::<Message>(&padded),
         Err(WireError::LengthMismatch { .. })
     ));
+}
+
+#[test]
+fn digest_stating_more_ids_than_it_holds_is_rejected() {
+    let ids = [UpdateId::from_bits(3), UpdateId::from_bits(8)];
+    for stated in [3, 70_000, u32::MAX] {
+        let mut body = vec![1];
+        body.extend_from_slice(&stated.to_be_bytes());
+        for id in ids {
+            body.extend_from_slice(&id.to_bits().to_be_bytes());
+        }
+        assert!(
+            matches!(
+                decode_frame::<DemersMsg>(&frame_with_body(KIND_DEMERS_DIGEST, &body)),
+                Err(WireError::Truncated { .. })
+            ),
+            "stated {stated}"
+        );
+    }
 }
 
 #[test]
