@@ -3,12 +3,12 @@
 //! A [`NodeCell`] wraps one sans-IO [`Node`] with everything the live
 //! runtime owns per replica: its protocol and link RNG substreams, its
 //! own [`TimerQueue`], and the inbox of *encoded* [`Envelope`]s. The
-//! tick routine mirrors `rumor_net::SyncEngine`'s round semantics —
+//! tick routine mirrors the round of `rumor_sim::Driver::step` —
 //! status change, round start, due timers, delivery — with one
 //! addition: every message crosses the node boundary as a `rumor-wire`
 //! frame, encoded at send and strictly decoded at delivery. The timer
-//! rules (saturating delay, floor, arming order) are the engine's: both
-//! arm the same `rumor_net` queue, the engine one for the population, a
+//! rules (saturating delay, floor, arming order) are the driver's: both
+//! arm the same `rumor_net` queue, the driver one for the population, a
 //! cell one for itself.
 
 use crate::byzantine::{ByzantineState, TamperedGroup};
@@ -229,7 +229,7 @@ where
     /// of one under wire v1, staged for the end-of-tick per-peer flush
     /// under v2; a timer of delay `d` requested at round `now` fires at
     /// `now + d`, floored at `deliver_from` too (the next tick that could
-    /// observe it, preserving the engine's barrier semantics).
+    /// observe it, preserving the driver's barrier semantics).
     fn drain_effects(
         &mut self,
         now: u32,
@@ -366,7 +366,7 @@ where
 
     /// Runs `f` against the node outside a tick (update initiation): its
     /// sends become deliverable at the *next* tick (`round`), mirroring
-    /// `SyncEngine::inject` before a step.
+    /// `rumor_sim::Driver::apply` before a step.
     pub fn initiate<T>(
         &mut self,
         round: u32,
@@ -387,7 +387,7 @@ where
     /// A crashed node simply misses its ticks; frames that came
     /// deliverable during the gap (`deliver_from < round`) are dropped as
     /// lost-to-offline on the next tick, and timers that came due during
-    /// the gap are dropped — exactly the engine's offline semantics.
+    /// the gap are dropped — exactly the driver's offline semantics.
     pub fn tick(
         &mut self,
         round: u32,
@@ -418,7 +418,7 @@ where
         // 3. Due timers, in arming order. Timers due exactly this round
         //    fire if the node is online; earlier fire rounds can only
         //    mean the node was crashed when they came due — dropped, as
-        //    the engine drops offline peers' due timers. A timer armed
+        //    the driver drops offline peers' due timers. A timer armed
         //    by `on_timer` is floored past this round, so it waits.
         while let Some((fire, tag)) = self.timers.pop_due(r) {
             if online && fire == r {

@@ -19,6 +19,11 @@
 //! *is* virtual time bit for bit; with more, delivery order within a
 //! round depends on worker interleaving, so it is distributionally
 //! identical. `tests/cluster_sharded.rs` pins both.
+//!
+//! A node that panics on a worker ends that worker, and the conductor
+//! re-raises the panic's message on the caller's thread within the same
+//! barrier — the behaviour `VirtualCluster` and `rumor_sim::Driver` have
+//! by running nodes on the caller's thread (`tests/node_panic.rs`).
 
 use crate::builder::ClusterBuilder;
 use crate::cell::{Envelope, NodeCell};
@@ -30,6 +35,8 @@ use rumor_obs::TraceDoc;
 use rumor_sim::{Protocol, UpdateEvent};
 use rumor_types::{PeerId, UpdateId};
 use rumor_wire::{Decode, Encode};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -83,12 +90,22 @@ enum ShardCtrl {
     Park { peer: PeerId, parked: bool },
 }
 
-/// Shard → conductor reply to a `Tick` or an `Initiate`.
+/// Shard → conductor reply to a `Tick` or an `Initiate`, or to any
+/// control message whose handling panicked.
 struct ShardReply {
     shard: usize,
-    report: ShardReport,
-    /// The update an `Initiate` created.
-    initiated: Option<UpdateId>,
+    /// The shard's report and the update an `Initiate` created, or the
+    /// message of the panic that ended the worker.
+    outcome: Result<(ShardReport, Option<UpdateId>), String>,
+}
+
+/// The text of a panic payload (`panic!` carries a `&str` or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
 /// What one worker thread owns.
@@ -109,62 +126,80 @@ where
     <P::Node as Node>::Msg: Encode + Decode,
 {
     /// Pumps the shard until the conductor closes the control channel
-    /// (or is gone), then returns the cells.
+    /// (or is gone), then returns the cells. A panic while handling a
+    /// control message is sent to the conductor in place of the reply,
+    /// and ends the worker.
     fn run(mut self) -> Vec<NodeCell<P::Node>> {
-        let (map, start) = (self.map, self.map.range(self.index).start);
-        let mut outboxes: Vec<Batch> = (0..map.shards).map(|_| Batch::new()).collect();
+        let mut outboxes: Vec<Batch> = (0..self.map.shards).map(|_| Batch::new()).collect();
         while let Ok(msg) = self.ctrl.recv() {
-            let mut dispatch = |to: PeerId, env| outboxes[map.shard_of(to.index())].push((to, env));
-            let (report, initiated) = match msg {
-                ShardCtrl::Tick {
-                    round,
-                    online,
-                    probe,
-                } => {
-                    // The conductor barriered the previous round, so
-                    // every batch of frames sent before this tick is
-                    // already in the inbound channel; frames from the
-                    // current round carry a later `deliver_from` and
-                    // wait in the inbox.
-                    while let Ok(batch) = self.inbound.try_recv() {
-                        self.shard.accept(batch);
-                    }
-                    let online = |peer: PeerId| online[peer.index() - start];
-                    self.shard
-                        .tick(round, &online, &*self.filter, &mut dispatch);
-                    let outcome =
-                        probe.map(|update| self.shard.probe(&*self.protocol, &online, update));
-                    (self.shard.report(outcome), None)
-                }
-                ShardCtrl::Initiate { peer, event, round } => {
-                    let update =
-                        self.shard
-                            .initiate(&*self.protocol, peer, &event, round, &mut dispatch);
-                    // The report keeps the conductor's traffic snapshot
-                    // fresh: frames sent while initiating are visible
-                    // to `frames_sent()` before the next barrier.
-                    (self.shard.report(None), Some(update))
-                }
-                ShardCtrl::Park { peer, parked } => {
-                    self.shard.set_parked(peer, parked);
-                    continue;
-                }
+            let outcome = match catch_unwind(AssertUnwindSafe(|| self.handle(msg, &mut outboxes))) {
+                Ok(None) => continue,
+                Ok(Some(done)) => Ok(done),
+                Err(payload) => Err(panic_message(payload.as_ref())),
             };
-            // One batch per non-empty outbox. Sends cannot fail while
-            // the conductor lives: the receivers sit in live workers.
-            for (target, outbox) in outboxes.iter_mut().enumerate() {
-                if !outbox.is_empty() {
-                    let _ = self.peers[target].send(std::mem::take(outbox));
+            let panicked = outcome.is_err();
+            if !panicked {
+                // One batch per non-empty outbox. Sends cannot fail while
+                // the conductor lives: the receivers sit in live workers.
+                for (target, outbox) in outboxes.iter_mut().enumerate() {
+                    if !outbox.is_empty() {
+                        let _ = self.peers[target].send(std::mem::take(outbox));
+                    }
                 }
             }
             let shard = self.index;
-            let _ = self.replies.send(ShardReply {
-                shard,
-                report,
-                initiated,
-            });
+            let _ = self.replies.send(ShardReply { shard, outcome });
+            if panicked {
+                return Vec::new();
+            }
         }
         self.shard.cells.into_vec()
+    }
+
+    /// Handles one control message, staging outgoing frames in
+    /// `outboxes`; `None` for a `Park`, which the conductor does not
+    /// wait for.
+    fn handle(
+        &mut self,
+        msg: ShardCtrl,
+        outboxes: &mut [Batch],
+    ) -> Option<(ShardReport, Option<UpdateId>)> {
+        let (map, start) = (self.map, self.map.range(self.index).start);
+        let mut dispatch = |to: PeerId, env| outboxes[map.shard_of(to.index())].push((to, env));
+        match msg {
+            ShardCtrl::Tick {
+                round,
+                online,
+                probe,
+            } => {
+                // The conductor barriered the previous round, so every
+                // batch of frames sent before this tick is already in
+                // the inbound channel; frames from the current round
+                // carry a later `deliver_from` and wait in the inbox.
+                while let Ok(batch) = self.inbound.try_recv() {
+                    self.shard.accept(batch);
+                }
+                let online = |peer: PeerId| online[peer.index() - start];
+                self.shard
+                    .tick(round, &online, &*self.filter, &mut dispatch);
+                let outcome =
+                    probe.map(|update| self.shard.probe(&*self.protocol, &online, update));
+                Some((self.shard.report(outcome), None))
+            }
+            ShardCtrl::Initiate { peer, event, round } => {
+                let update =
+                    self.shard
+                        .initiate(&*self.protocol, peer, &event, round, &mut dispatch);
+                // The report keeps the conductor's traffic snapshot
+                // fresh: frames sent while initiating are visible to
+                // `frames_sent()` before the next barrier.
+                Some((self.shard.report(None), Some(update)))
+            }
+            ShardCtrl::Park { peer, parked } => {
+                self.shard.set_parked(peer, parked);
+                None
+            }
+        }
     }
 }
 
@@ -190,6 +225,9 @@ where
     reply_rx: Receiver<ShardReply>,
     /// Latest per-shard report (stats are cumulative).
     snapshots: Vec<ShardReport>,
+    /// The message of the worker panic this cluster re-raised, if any:
+    /// that worker has exited, so later sends to it fail with it.
+    panicked: Option<String>,
 }
 
 impl<P> std::fmt::Debug for ShardedCluster<P>
@@ -259,6 +297,7 @@ where
             handles,
             reply_rx,
             snapshots: vec![ShardReport::default(); map.shards],
+            panicked: None,
         }
     }
 
@@ -319,24 +358,38 @@ where
     }
 
     fn send(&self, shard: usize, msg: ShardCtrl) {
-        self.ctrls[shard].send(msg).expect("shard alive");
+        if self.ctrls[shard].send(msg).is_err() {
+            // A worker exits early only after a panic.
+            let message = self.panicked.as_deref().unwrap_or("cluster shard exited");
+            resume_unwind(Box::new(message.to_owned()));
+        }
     }
 
     /// Waits for the next shard reply and folds its report into the
-    /// snapshots. A `Tick` report replaces the shard's probe outcome;
-    /// an `Initiate` report keeps the last probed tick's.
-    fn recv(&mut self) -> ShardReply {
+    /// snapshots, returning the update an `Initiate` created. A `Tick`
+    /// report replaces the shard's probe outcome; an `Initiate` report
+    /// keeps the last probed tick's. A worker's panic is re-raised here
+    /// with its message.
+    fn recv(&mut self) -> Option<UpdateId> {
         let reply = self
             .reply_rx
             .recv()
             .expect("cluster shard channel closed unexpectedly");
+        let (report, initiated) = match reply.outcome {
+            Ok(done) => done,
+            Err(message) => {
+                let message = format!("cluster shard {} panicked: {message}", reply.shard);
+                self.panicked = Some(message.clone());
+                resume_unwind(Box::new(message));
+            }
+        };
         let snapshot = &mut self.snapshots[reply.shard];
         let last_probe = snapshot.probe;
-        *snapshot = reply.report;
-        if reply.initiated.is_some() {
+        *snapshot = report;
+        if initiated.is_some() {
             snapshot.probe = last_probe;
         }
-        reply
+        initiated
     }
 
     /// Initiates `event` at a random effectively-online node. `None`
@@ -351,7 +404,7 @@ where
         // No other reply can be outstanding: every tick is barriered
         // before new control is issued. Folding the fresh snapshot keeps
         // traffic accounting from lagging an initiation.
-        let update = self.recv().initiated.expect("reply to an Initiate");
+        let update = self.recv().expect("reply to an Initiate");
         self.conductor.initiated(peer, update);
         Some(update)
     }

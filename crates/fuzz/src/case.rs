@@ -23,7 +23,7 @@ use rumor_types::json::Json;
 /// Which runtime executes the case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
-    /// The reference `rumor_sim::Driver` over the sync engine.
+    /// The reference `rumor_sim::Driver` (the engine path).
     Engine,
     /// The deterministic virtual-time `rumor_cluster` runtime (the only
     /// path that can host crash faults and Byzantine members).

@@ -3,9 +3,12 @@
 //! `rumor_sim::Driver` owns the round loop and `rumor_sim::Experiment`
 //! owns the Monte Carlo trial loop; no other crate may re-grow either
 //! (ROADMAP: "one driver, many protocols", "one replication harness").
-//! The rule flags `for <ident> in …` loops whose induction variable is a
-//! trial/replication/round counter anywhere outside `crates/sim/src/`.
-//! Loops inside `#[cfg(test)]` items are exempt (tests drive fixtures
+//! On the simulation path the round itself is `Driver::step`: `rumor-net`
+//! holds only what a round is made of (`Node`, `Effect`, `EffectSink`,
+//! `LinkFilter`, `TimerQueue`) and no step or quiescence loop of its
+//! own. The rule flags `for <ident> in …` loops whose induction variable
+//! is a trial/replication/round counter anywhere outside
+//! `crates/sim/src/`. Loops inside `#[cfg(test)]` items are exempt (tests drive fixtures
 //! round by round); genuine domain iteration elsewhere — e.g. replaying
 //! a churn model to record a trace — carries an inline allow.
 

@@ -1,17 +1,19 @@
-//! Logical-network substrate: the engine that drives protocol nodes.
+//! Logical-network vocabulary: what a protocol node is and what it may
+//! ask of whoever runs it.
 //!
 //! The paper separates the update algorithm from physical connectivity:
 //! "the algorithm deals with logical connectivity (knowledge), and is
-//! disentangled from the underlying network/physical connectivity" (§1),
-//! and its analysis uses "a synchronous model which is a standard model
-//! for analysing epidemic algorithms" (§3). Accordingly this crate offers
-//! one engine over the [`Node`] abstraction: [`SyncEngine`] — lock-step
-//! push rounds: a message sent in round `t` is delivered at the start of
-//! round `t+1`; messages addressed to offline peers are lost (and still
-//! counted, as in the paper's overhead metric). That rounds "need not be
-//! synchronous" (§4.1) — messages of different rounds coexisting in
-//! flight — is exercised by `rumor-cluster`'s delivery-delay model, which
-//! mounts the same nodes.
+//! disentangled from the underlying network/physical connectivity" (§1).
+//! Accordingly this crate holds the sans-IO pieces every execution path
+//! shares and no round loop: a [`Node`] is a deterministic state machine
+//! that writes [`Effect`]s (sends and timers) into an [`EffectSink`];
+//! a [`LinkFilter`] decides which deliveries a faulty link drops; a
+//! [`TimerQueue`] holds armed timers under one set of firing rules. The
+//! paper's synchronous analysis model (§3) — a message sent in round `t`
+//! is delivered at the start of round `t+1`, messages to offline peers
+//! are lost but still counted — is run by `rumor_sim::Driver`; that
+//! rounds "need not be synchronous" (§4.1) is exercised by
+//! `rumor-cluster`'s delivery-delay model. Both mount the same nodes.
 //!
 //! [`topology`] builds the *knowledge graph* — which replicas each peer
 //! initially knows — *full* or *partial* (random subset), per §2's
@@ -24,14 +26,10 @@
 mod link;
 mod node;
 mod sink;
-mod stats;
-mod sync_engine;
 mod timer;
 pub mod topology;
 
 pub use link::{BernoulliLoss, LinkFilter, Partition, PerfectLinks};
 pub use node::{Effect, Node};
 pub use sink::EffectSink;
-pub use stats::EngineStats;
-pub use sync_engine::SyncEngine;
 pub use timer::TimerQueue;

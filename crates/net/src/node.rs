@@ -1,10 +1,10 @@
-//! The protocol-node abstraction every engine and executor drives.
+//! The protocol-node abstraction every execution path drives.
 
 use crate::sink::EffectSink;
 use rand_chacha::ChaCha8Rng;
 use rumor_types::{PeerId, Round};
 
-/// An effect a node asks its engine to perform.
+/// An effect a node asks whoever runs it to perform.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Effect<M> {
     /// Send `msg` to another peer (one paper "message": the unit the
@@ -33,15 +33,14 @@ impl<M> Effect<M> {
     }
 }
 
-/// A deterministic protocol state machine drivable by [`SyncEngine`].
+/// A deterministic protocol state machine, driven in rounds by
+/// `rumor_sim::Driver` and by `rumor-cluster`'s cells.
 ///
-/// All methods receive the engine's RNG so that a node's random choices
+/// All methods receive the runner's RNG so that a node's random choices
 /// (fanout target selection, forwarding coin flips) replay under a fixed
 /// experiment seed, and a reusable [`EffectSink`] to write their effects
-/// into — the engine drains it after each callback, so steady-state
+/// into — the runner drains it after each callback, so steady-state
 /// rounds never allocate for effect plumbing.
-///
-/// [`SyncEngine`]: crate::SyncEngine
 pub trait Node {
     /// The message type exchanged between nodes of this protocol.
     type Msg: Clone;

@@ -2,9 +2,9 @@
 //!
 //! Returning a fresh `Vec<Effect>` from every callback put one heap
 //! allocation (often several, counting growth) on the hot path of every
-//! delivered message — at engine scale the harness spent a measurable
+//! delivered message — at simulation scale the harness spent a measurable
 //! share of its time in the allocator instead of the protocol. An
-//! [`EffectSink`] is the replacement: the engine owns one scratch sink,
+//! [`EffectSink`] is the replacement: the runner owns one scratch sink,
 //! hands `&mut` to each callback, drains it into its queues, and the
 //! backing buffer's capacity is reused for the next callback. Steady-state
 //! rounds allocate nothing.
@@ -14,7 +14,7 @@ use rumor_types::PeerId;
 
 /// A reusable buffer of [`Effect`]s produced by one node callback.
 ///
-/// Engines drain it after every callback, so within a callback the sink
+/// Runners drain it after every callback, so within a callback the sink
 /// only ever holds this invocation's effects; `len()` before/after a
 /// helper call is the idiom for "did that helper emit anything".
 ///

@@ -1,7 +1,7 @@
 //! The one timer queue both execution paths arm and pop.
 //!
-//! [`SyncEngine`](crate::SyncEngine) keeps one queue for the whole
-//! population and `rumor-cluster`'s cells one each, but the rules are
+//! `rumor_sim::Driver` keeps one queue for the whole population and
+//! `rumor-cluster`'s cells one each, but the rules are
 //! the same and live here: a timer of delay `d` armed in round `now`
 //! fires at `now + d` (saturating, so a delay beyond the round counter's
 //! range never fires instead of wrapping to "now"), never before the

@@ -48,16 +48,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(test)]
-mod builder;
 mod consistency;
 mod driver;
 mod error;
 mod replicate;
 mod report;
-#[cfg(test)]
-mod runner;
 mod scenario;
+mod stats;
 mod workload;
 
 pub use consistency::{awareness, consistency_fraction, staleness_by_peer};
@@ -66,4 +63,5 @@ pub use error::SimError;
 pub use replicate::{Experiment, ReplicatedReport, Replication};
 pub use report::{RoundObservation, RunReport, UpdateOutcome, WorkloadReport};
 pub use scenario::{ConvergenceSpec, Scenario, ScenarioBuilder, TopologySpec};
+pub use stats::EngineStats;
 pub use workload::{UpdateEvent, WorkloadBuilder};

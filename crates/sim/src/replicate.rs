@@ -313,7 +313,7 @@ impl ReplicatedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{mount, propagate};
+    use crate::driver::tests::{mount, propagate};
     use crate::scenario::Scenario;
     use rumor_core::ProtocolConfig;
     use rumor_metrics::RoundSeries;

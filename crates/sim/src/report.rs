@@ -49,14 +49,14 @@ pub struct RunReport {
     pub total_bytes: u64,
     /// Messages that reached nobody — lost to an offline target or a
     /// link fault (cumulative engine total,
-    /// [`EngineStats::wasted`](rumor_net::EngineStats::wasted)).
+    /// [`EngineStats::wasted`](crate::EngineStats::wasted)).
     pub total_wasted: u64,
     /// Initial online population (normalisation denominator).
     pub initial_online: usize,
     /// Per-round trace.
     pub per_round: Vec<RoundObservation>,
     /// Per-round sent-message series over the driver's lifetime
-    /// ([`EngineStats::per_round_sent`](rumor_net::EngineStats::per_round_sent),
+    /// ([`EngineStats::per_round_sent`](crate::EngineStats::per_round_sent),
     /// previously collected but unpublished).
     pub per_round_sent: RoundSeries,
 }

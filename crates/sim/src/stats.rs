@@ -1,9 +1,9 @@
-//! Engine-level message accounting.
+//! The driver's message accounting.
 
 use rumor_metrics::RoundSeries;
 use serde::{Deserialize, Serialize};
 
-/// Message counts kept by the engines.
+/// Message counts kept by the [`Driver`](crate::Driver).
 ///
 /// The paper's cost metric counts every message *sent*, "including
 /// messages to offline replicas" (§4.2); `sent` is therefore the number to
@@ -12,12 +12,13 @@ use serde::{Deserialize, Serialize};
 /// paper's analysis folds into a single number.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
-    /// Messages handed to the engine (the paper's message count).
+    /// Messages handed to the driver (the paper's message count).
     pub sent: u64,
     /// Encoded wire bytes of the messages in `sent`, as sized by the
-    /// engine's message sizer (zero when none is installed — e.g. for
-    /// toy message types without a wire format). One frame per message:
-    /// header plus payload, per `rumor-wire`.
+    /// mounted protocol's [`Protocol::wire_sizer`](crate::Protocol::wire_sizer)
+    /// (zero when it has none — e.g. for toy message types without a wire
+    /// format). One frame per message: header plus payload, per
+    /// `rumor-wire`.
     pub bytes_sent: u64,
     /// Messages delivered to an online peer.
     pub delivered: u64,

@@ -4,7 +4,7 @@
 //! replica under churn + loss + crash faults at N ≥ 64, (b) be
 //! bit-reproducible in virtual-time mode (golden-pinned), and (c)
 //! converge to the same awareness set over the final online population
-//! as the `SyncEngine` run of the identical scenario.
+//! as the `Driver` run of the identical scenario.
 
 use rand_chacha::ChaCha8Rng;
 use rumor::churn::{Churn, MarkovChurn, OnlineSet};
@@ -149,7 +149,7 @@ fn virtual_time_mode_is_bit_reproducible_and_golden_pinned() {
 #[test]
 fn cluster_and_engine_converge_to_the_same_awareness_set() {
     // The same Scenario drives both execution paths: the reference
-    // SyncEngine driver and the live virtual-time cluster. Their churn
+    // simulation `Driver` and the live virtual-time cluster. Their churn
     // trajectories are identical (same model, same "churn" substream),
     // so after the churn window closes both must converge the *same*
     // final online population — and the cluster must inform exactly the

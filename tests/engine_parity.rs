@@ -1,5 +1,5 @@
 //! Engine-parity golden pins: the sink-based effect API and the
-//! allocation-free `SyncEngine` internals (recycled inboxes, in-place
+//! allocation-free round in `Driver::step` (recycled inboxes, in-place
 //! availability snapshot, heap-backed timers, O(1) quiescence) must be
 //! observationally identical to the historical Vec-returning engine.
 //!

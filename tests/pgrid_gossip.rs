@@ -2,21 +2,37 @@
 //! topology data itself is gossipable (§3).
 
 use rand::SeedableRng;
-use rumor::churn::OnlineSet;
-use rumor::core::{Message, ProtocolConfig, ReplicaPeer, Value};
-use rumor::net::{EffectSink, PerfectLinks, SyncEngine};
+use rand_chacha::ChaCha8Rng;
+use rumor::churn::{OnlineSet, StaticChurn};
+use rumor::core::{ProtocolConfig, ReplicaPeer, Value};
+use rumor::net::PerfectLinks;
 use rumor::pgrid::{key_to_path, PGrid, RoutingChange};
+use rumor::sim::{ConvergenceSpec, Driver};
 use rumor::types::{DataKey, PeerId, Round};
 
 fn build_grid(seed: u64) -> PGrid {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     PGrid::build(256, 4, 60, &mut rng)
+}
+
+/// One partition's replicas, all online, no churn, perfect links; `rng`
+/// draws every protocol choice.
+fn drive(replicas: Vec<ReplicaPeer>, rng: ChaCha8Rng) -> Driver<ReplicaPeer> {
+    let n = replicas.len();
+    Driver::assemble(
+        replicas,
+        OnlineSet::all_online(n),
+        Box::new(StaticChurn::new()),
+        Box::new(PerfectLinks),
+        rng,
+        ChaCha8Rng::seed_from_u64(0),
+        ConvergenceSpec::default(),
+    )
 }
 
 #[test]
 fn every_partition_can_host_the_update_protocol() {
     let grid = build_grid(1);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
 
     // Pick three keys in different partitions and gossip an update within
     // each partition.
@@ -24,7 +40,7 @@ fn every_partition_can_host_the_update_protocol() {
         .iter()
         .map(|n| DataKey::from_name(n))
         .collect();
-    for key in keys {
+    for (i, key) in keys.into_iter().enumerate() {
         let partition = grid.replica_partition(key);
         assert!(
             partition.len() >= 4,
@@ -40,28 +56,20 @@ fn every_partition_can_host_the_update_protocol() {
             .staleness_rounds(6)
             .build()
             .unwrap();
-        let mut replicas: Vec<ReplicaPeer> = (0..n)
+        let replicas: Vec<ReplicaPeer> = (0..n)
             .map(|i| {
                 let mut p = ReplicaPeer::new(PeerId::new(i as u32), config.clone());
                 p.learn_replicas((0..n as u32).map(PeerId::new));
                 p
             })
             .collect();
-        let online = OnlineSet::all_online(n);
-        let mut engine: SyncEngine<Message> = SyncEngine::new(n);
-        let mut effects = EffectSink::new();
-        let update = replicas[0].initiate_update(
-            key,
-            Some(Value::from("payload")),
-            Round::ZERO,
-            &mut rng,
-            &mut effects,
-        );
-        engine.inject(PeerId::new(0), effects.drain());
-        for _ in 0..30 {
-            engine.step(&mut replicas, &online, &PerfectLinks, &mut rng);
-        }
-        let aware = replicas
+        let mut driver = drive(replicas, ChaCha8Rng::seed_from_u64(2 + i as u64));
+        let update = driver.apply(PeerId::new(0), |peer, rng, out| {
+            peer.initiate_update(key, Some(Value::from("payload")), Round::ZERO, rng, out)
+        });
+        driver.run_rounds(30);
+        let aware = driver
+            .nodes()
             .iter()
             .filter(|r| r.has_processed(update.id()))
             .count();
@@ -72,7 +80,6 @@ fn every_partition_can_host_the_update_protocol() {
 #[test]
 fn gossiped_routing_change_updates_tables() {
     let mut grid = build_grid(3);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
     let key = DataKey::from_name("routing/epoch-7");
     let partition = grid.replica_partition(key);
     let n = partition.len();
@@ -85,7 +92,7 @@ fn gossiped_routing_change_updates_tables() {
         .staleness_rounds(6)
         .build()
         .unwrap();
-    let mut replicas: Vec<ReplicaPeer> = (0..n)
+    let replicas: Vec<ReplicaPeer> = (0..n)
         .map(|i| {
             let mut p = ReplicaPeer::new(PeerId::new(i as u32), config.clone());
             p.learn_replicas((0..n as u32).map(PeerId::new));
@@ -95,22 +102,22 @@ fn gossiped_routing_change_updates_tables() {
 
     let change = RoutingChange::new(1, vec![PeerId::new(200), PeerId::new(201)]);
     let payload = Value::from(change.to_bytes());
-    let online = OnlineSet::all_online(n);
-    let mut engine: SyncEngine<Message> = SyncEngine::new(n);
-    let mut effects = EffectSink::new();
-    replicas[0].initiate_update(key, Some(payload), Round::ZERO, &mut rng, &mut effects);
-    engine.inject(PeerId::new(0), effects.drain());
-    // A fixed horizon, not `run_to_quiescence`: the engine considers the
-    // system quiescent as soon as the push flood dies out, which is
+    let mut driver = drive(replicas, ChaCha8Rng::seed_from_u64(4));
+    driver.apply(PeerId::new(0), |peer, rng, out| {
+        peer.initiate_update(key, Some(payload), Round::ZERO, rng, out)
+    });
+    // A fixed horizon, not `run_until_quiescent`: the driver considers
+    // the system quiescent as soon as the push flood dies out, which is
     // *before* the periodic staleness pull ever fires (by design the
     // hybrid protocol keeps polling and never goes fully quiet).
-    for _ in 0..40 {
-        engine.step(&mut replicas, &online, &PerfectLinks, &mut rng);
-    }
+    driver.run_rounds(40);
 
     let mut applied = 0;
     for (local, &overlay_id) in partition.iter().enumerate() {
-        let stored = replicas[local].store().get(key).expect("gossip delivered");
+        let stored = driver.nodes()[local]
+            .store()
+            .get(key)
+            .expect("gossip delivered");
         let decoded = RoutingChange::from_bytes(stored.as_bytes()).expect("payload decodes");
         decoded.apply_to(grid.peer_mut(overlay_id));
         applied += 1;

@@ -2,8 +2,8 @@
 //!
 //! The push flood usually blankets a partition but can stochastically
 //! miss peers; the `no_updates_since` pull trigger is the safety net. A
-//! driver that stops at `SyncEngine::is_quiescent` stops too early: the
-//! engine is "quiescent" the moment the flood's last message lands, which
+//! driver that stops at `Driver::is_quiescent` stops too early: the
+//! driver is "quiescent" the moment the flood's last message lands, which
 //! is *before* the first staleness pull fires (the hybrid protocol keeps
 //! polling and never goes fully quiet). This test pins the repair path:
 //! even a flood engineered to miss most peers must converge to full
@@ -11,9 +11,10 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rumor::churn::OnlineSet;
-use rumor::core::{ForwardPolicy, Message, ProtocolConfig, ReplicaPeer, Value};
-use rumor::net::{EffectSink, PerfectLinks, SyncEngine};
+use rumor::churn::{OnlineSet, StaticChurn};
+use rumor::core::{ForwardPolicy, ProtocolConfig, ReplicaPeer, Value};
+use rumor::net::PerfectLinks;
+use rumor::sim::{ConvergenceSpec, Driver};
 use rumor::types::{DataKey, PeerId, Round};
 
 fn population(n: usize, config: &ProtocolConfig) -> Vec<ReplicaPeer> {
@@ -37,27 +38,26 @@ fn staleness_pull_repairs_peers_the_flood_missed() {
         .staleness_rounds(3)
         .build()
         .unwrap();
-    let mut peers = population(n, &config);
-    let online = OnlineSet::all_online(n);
-    let mut engine: SyncEngine<Message> = SyncEngine::new(n);
-    let mut rng = ChaCha8Rng::seed_from_u64(17);
+    let mut driver = Driver::assemble(
+        population(n, &config),
+        OnlineSet::all_online(n),
+        Box::new(StaticChurn::new()),
+        Box::new(PerfectLinks),
+        ChaCha8Rng::seed_from_u64(17),
+        ChaCha8Rng::seed_from_u64(17),
+        ConvergenceSpec::default(),
+    );
 
     let key = DataKey::from_name("missed-by-flood");
-    let mut effects = EffectSink::new();
-    let update = peers[0].initiate_update(
-        key,
-        Some(Value::from("x")),
-        Round::ZERO,
-        &mut rng,
-        &mut effects,
-    );
-    engine.inject(PeerId::new(0), effects.drain());
+    let update = driver.apply(PeerId::new(0), |peer, rng, out| {
+        peer.initiate_update(key, Some(Value::from("x")), Round::ZERO, rng, out)
+    });
 
     // The flood is spent after two rounds; quiescence here would report
     // convergence falsely.
-    engine.step(&mut peers, &online, &PerfectLinks, &mut rng);
-    engine.step(&mut peers, &online, &PerfectLinks, &mut rng);
-    let aware_after_flood = peers
+    driver.run_rounds(2);
+    let aware_after_flood = driver
+        .nodes()
         .iter()
         .filter(|p| p.has_processed(update.id()))
         .count();
@@ -66,23 +66,22 @@ fn staleness_pull_repairs_peers_the_flood_missed() {
         "push with fanout 1 / PF 0 reaches at most the initiator and one target"
     );
     assert!(
-        engine.is_quiescent(),
-        "engine reports quiescence before the first staleness pull — the \
-         bug this test guards: drivers must use a fixed horizon, not \
-         run_to_quiescence, when periodic pulls are configured"
+        driver.is_quiescent(),
+        "the driver reports quiescence before the first staleness pull — \
+         the bug this test guards: callers must use a fixed horizon, not \
+         run_until_quiescent, when periodic pulls are configured"
     );
 
     // A fixed horizon lets the periodic pulls run; anti-entropy converges
     // the whole partition.
-    for _ in 0..30 {
-        engine.step(&mut peers, &online, &PerfectLinks, &mut rng);
-    }
-    let aware = peers
+    driver.run_rounds(30);
+    let aware = driver
+        .nodes()
         .iter()
         .filter(|p| p.has_processed(update.id()))
         .count();
     assert_eq!(aware, n, "staleness pulls must repair every missed peer");
-    for p in &peers {
+    for p in driver.nodes() {
         assert_eq!(
             p.store().get(key).expect("converged").as_bytes(),
             b"x",

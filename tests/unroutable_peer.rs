@@ -6,13 +6,13 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rumor::churn::OnlineSet;
+use rumor::churn::{OnlineSet, StaticChurn};
 use rumor::cluster::{ClusterBuilder, ClusterReport};
 use rumor::core::{
     Lineage, Message, PartialList, ProtocolConfig, PushMessage, ReplicaPeer, Update, Value,
 };
-use rumor::net::{Effect, EffectSink, PerfectLinks, SyncEngine};
-use rumor::sim::{PaperProtocol, Protocol, Scenario, UpdateEvent};
+use rumor::net::{Effect, EffectSink, PerfectLinks};
+use rumor::sim::{ConvergenceSpec, Driver, PaperProtocol, Protocol, Scenario, UpdateEvent};
 use rumor::types::{DataKey, PeerId, Round, UpdateId};
 
 const POPULATION: usize = 4;
@@ -29,51 +29,62 @@ fn config() -> ProtocolConfig {
 
 #[test]
 fn the_engine_counts_a_send_to_an_unroutable_id_as_lost_to_offline() {
-    let mut nodes: Vec<ReplicaPeer> = (0..POPULATION as u32)
+    let nodes: Vec<ReplicaPeer> = (0..POPULATION as u32)
         .map(|id| ReplicaPeer::new(PeerId::new(id), config()))
         .collect();
-    let online = OnlineSet::all_online(POPULATION);
-    let mut engine = SyncEngine::new(POPULATION);
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let mut driver = Driver::assemble(
+        nodes,
+        OnlineSet::all_online(POPULATION),
+        Box::new(StaticChurn::new()),
+        Box::new(PerfectLinks),
+        ChaCha8Rng::seed_from_u64(5),
+        ChaCha8Rng::seed_from_u64(5),
+        ConvergenceSpec::default(),
+    );
 
     // Peer 1 pushes to peer 0 with a list naming a stranger…
-    let update = Update::write(
-        DataKey::new(1),
-        Lineage::root(&mut rng),
-        Value::from("v"),
-        PeerId::new(1),
-    );
-    let push = Message::Push(PushMessage {
-        update,
-        push_round: 1,
-        flood_list: PartialList::from_peers([PeerId::new(1), STRANGER]),
+    driver.apply(PeerId::new(1), |_, rng, out| {
+        let update = Update::write(
+            DataKey::new(1),
+            Lineage::root(rng),
+            Value::from("v"),
+            PeerId::new(1),
+        );
+        let push = Message::Push(PushMessage {
+            update,
+            push_round: 1,
+            flood_list: PartialList::from_peers([PeerId::new(1), STRANGER]),
+        });
+        out.send(PeerId::new(0), push);
     });
-    engine.inject(PeerId::new(1), [Effect::send(PeerId::new(0), push)]);
-    engine.step(&mut nodes, &online, &PerfectLinks, &mut rng);
-    assert!(nodes[0].known_replicas().any(|p| p == STRANGER));
+    driver.step();
+    assert!(driver
+        .node(PeerId::new(0))
+        .known_replicas()
+        .any(|p| p == STRANGER));
 
     // …and peer 0's next update is addressed to it.
-    let mut out = EffectSink::new();
-    nodes[0].initiate_update(
-        DataKey::new(2),
-        Some(Value::from("w")),
-        engine.round(),
-        &mut rng,
-        &mut out,
-    );
-    let to_stranger = |e: &Effect<Message>| matches!(e, Effect::Send { to, .. } if *to == STRANGER);
-    assert_eq!(out.iter().filter(|e| to_stranger(e)).count(), 1);
-    let lost_before = engine.stats().lost_offline;
-    let (sent_before, queued_before) = (engine.stats().sent, engine.in_flight());
-    let sends = out.len();
-    engine.inject(PeerId::new(0), out.drain());
-    assert_eq!(engine.stats().sent, sent_before + sends as u64);
-    assert_eq!(engine.stats().lost_offline, lost_before + 1);
-    assert_eq!(engine.in_flight(), queued_before + sends - 1);
+    let before = driver.stats().clone();
+    let round = Round::new(driver.rounds_run());
+    let sends = driver.apply(PeerId::new(0), |peer, rng, out| {
+        peer.initiate_update(DataKey::new(2), Some(Value::from("w")), round, rng, out);
+        let to_stranger =
+            |e: &Effect<Message>| matches!(e, Effect::Send { to, .. } if *to == STRANGER);
+        assert_eq!(out.iter().filter(|e| to_stranger(e)).count(), 1);
+        out.len() as u64
+    });
+    let after = driver.stats();
+    assert_eq!(after.sent, before.sent + sends);
+    assert_eq!(after.lost_offline, before.lost_offline + 1);
+    // Every other send is queued (a send is in flight until counted as
+    // delivered or lost), and the next round delivers exactly the queue.
+    let queued = before.sent - before.delivered - before.wasted() + sends - 1;
+    driver.step();
+    assert_eq!(driver.stats().delivered, before.delivered + queued);
 
-    engine.run_to_quiescence(&mut nodes, &online, &PerfectLinks, &mut rng, 50);
-    assert!(engine.is_quiescent());
-    let stats = engine.stats();
+    driver.run_until_quiescent(50);
+    assert!(driver.is_quiescent());
+    let stats = driver.stats();
     assert_eq!(
         stats.sent,
         stats.delivered + stats.lost_offline + stats.lost_fault
