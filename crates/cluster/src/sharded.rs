@@ -226,7 +226,7 @@ where
     /// Latest per-shard report (stats are cumulative).
     snapshots: Vec<ShardReport>,
     /// The message of the worker panic this cluster re-raised, if any:
-    /// that worker has exited, so later sends to it fail with it.
+    /// that worker has exited, so every later control send re-raises it.
     panicked: Option<String>,
 }
 
@@ -358,10 +358,15 @@ where
     }
 
     fn send(&self, shard: usize, msg: ShardCtrl) {
+        // Checked before sending: the panicked worker may not have dropped
+        // its control receiver yet, and a tick it never answers would
+        // leave the barrier waiting forever.
+        if let Some(message) = &self.panicked {
+            resume_unwind(Box::new(message.clone()));
+        }
         if self.ctrls[shard].send(msg).is_err() {
             // A worker exits early only after a panic.
-            let message = self.panicked.as_deref().unwrap_or("cluster shard exited");
-            resume_unwind(Box::new(message.to_owned()));
+            resume_unwind(Box::new("cluster shard exited".to_owned()));
         }
     }
 

@@ -442,7 +442,12 @@ mod tests {
         assert_eq!(s.population(), 10);
         assert_eq!(s.online_count(), 10, "default: everyone online");
         assert!(s.workload().is_empty());
-        let driver = s.drive(&paper(10));
+    }
+
+    #[test]
+    fn drives_with_defaults() {
+        let scenario = Scenario::builder(10, 1).build().unwrap();
+        let driver = scenario.drive(&paper(10));
         assert_eq!(driver.population(), 10);
         assert_eq!(
             driver.online().online_count(),

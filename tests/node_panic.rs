@@ -230,8 +230,8 @@ fn a_sharded_cluster_reused_after_a_node_panic_reports_that_panic() {
         let first =
             catch_unwind(AssertUnwindSafe(|| cluster.run_rounds(5))).expect_err("node 3 panics");
         let first = message_of(first.as_ref());
-        // The panicked worker has exited: the next round's send to it
-        // fails, and says why.
+        // The panicked worker has exited: the next round fails, and says
+        // why, instead of waiting for a reply that never comes.
         let second = catch_unwind(AssertUnwindSafe(|| cluster.run_rounds(1)))
             .expect_err("the exited worker cannot tick");
         assert_eq!(message_of(second.as_ref()), first);
